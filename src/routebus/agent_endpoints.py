@@ -11,6 +11,7 @@ overriding the URI parameters field by field.
 from __future__ import annotations
 
 import re
+from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from typing import Optional, Union
@@ -28,7 +29,7 @@ from .agents import (
 )
 from .expressions import stringify
 from .messages import BodyValue, EndpointUri, Exchange, ExchangePattern, new_exchange
-from .routing import Component, Consumer, Delivery, Producer, RouteEngine, _Future, _QueueConsumer
+from .routing import Channel, Component, Consumer, Delivery, Producer, RouteEngine, _ChannelConsumer
 from .terms import (
     ActionTerm,
     Atom,
@@ -476,19 +477,31 @@ def produce_percept(container: AgentContainer, cfg: AgentEndpointConfig, x: Exch
 # --- engine component -------------------------------------------------------------
 
 
-class _ConsumerBinding:
-    """Registered with the container; feeds one route's consumer queue."""
+class _AgentConsumer(_ChannelConsumer):
+    """Registered with the container while the route runs; feeds its channel."""
 
-    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig, sink: _QueueConsumer):
+    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig):
+        super().__init__(Channel(maxsize=1024))
         self.container = container
         self.cfg = cfg
-        self.sink = sink
+
+    def start(self) -> None:
+        if self.cfg.kind is EndpointKind.MESSAGE_CONSUMER:
+            self.container.register_message_binding(self)
+        else:
+            self.container.register_action_binding(self)
+
+    def stop(self) -> None:
+        self.container.unregister_binding(self)
+
+    def _delivery(self, delivery: Delivery) -> Delivery:
+        return delivery
 
     def offer_message(self, msg: AgentMessage) -> bool:
         exchange = consume_agent_message(self.cfg, msg)
         if exchange is None:
             return False
-        self.sink.offer(Delivery(exchange))
+        self.channel.put(Delivery(exchange))
         return True
 
     def offer_action(
@@ -496,12 +509,12 @@ class _ConsumerBinding:
         actor: AgentId,
         term: ActionTerm,
         mode: ActionMode,
-        reply: Optional[_Future] = None,
+        reply: Optional[Future] = None,
     ) -> Optional[Exchange]:
         exchange = consume_agent_action(self.cfg, actor, term, mode)
         if exchange is None:
             return None
-        self.sink.offer(Delivery(exchange, reply))
+        self.channel.put(Delivery(exchange, reply))
         return exchange
 
     def would_match(self, actor: AgentId, term: ActionTerm) -> bool:
@@ -512,23 +525,6 @@ class _ConsumerBinding:
 
     def complete(self, reply: Exchange, term: ActionTerm) -> ActionTerm:
         return complete_sync_action(self.cfg, reply, term)
-
-
-class _AgentConsumer(_QueueConsumer):
-    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig):
-        super().__init__()
-        self.container = container
-        self.cfg = cfg
-        self.binding = _ConsumerBinding(container, cfg, self)
-
-    def start(self) -> None:
-        if self.cfg.kind is EndpointKind.MESSAGE_CONSUMER:
-            self.container.register_message_binding(self.binding)
-        else:
-            self.container.register_action_binding(self.binding)
-
-    def stop(self) -> None:
-        self.container.unregister_binding(self.binding)
 
 
 class _AgentMessageProducer(Producer):

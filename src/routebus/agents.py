@@ -17,11 +17,12 @@ import itertools
 import logging
 import threading
 from collections import deque
+from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
-from .routing import EventLog, _Future
+from .routing import EventLog
 from .terms import (
     ActionTerm,
     Literal,
@@ -65,9 +66,6 @@ __all__ = [
 BROADCAST = "all"
 
 DEFAULT_SYNC_TIMEOUT_MS = 5000
-
-# Idle floor for the event-driven cycle.
-_CYCLE_WAIT_SECONDS = 0.01
 
 
 class UnknownAgentError(KeyError):
@@ -315,6 +313,7 @@ class AgentContainer:
         self._msg_seq = itertools.count(1)
         self._threads: dict[str, threading.Thread] = {}
         self._running = threading.Event()
+        self._cycled = threading.Condition()
 
     # -- agents --
 
@@ -347,13 +346,19 @@ class AgentContainer:
         self.log.emit(f"container:{self.container_id}", "lifecycle", detail="stopped")
 
     def _agent_loop(self, agent: AgentState) -> None:
-        self.run_cycle(agent)  # fires startup rules first
-        while self._running.is_set():
-            agent.signal.wait(_CYCLE_WAIT_SECONDS)
+        while True:
+            self.run_cycle(agent)  # the first cycle fires the startup rules
+            with self._cycled:
+                self._cycled.notify_all()
+            agent.signal.wait()
             agent.signal.clear()
             if not self._running.is_set():
                 return
-            self.run_cycle(agent)
+
+    def wait_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Block until ``predicate()`` holds, checked after every agent cycle."""
+        with self._cycled:
+            return self._cycled.wait_for(predicate, timeout)
 
     # -- reasoning cycle --
 
@@ -430,14 +435,9 @@ class AgentContainer:
 
     def route_local_message(self, msg: AgentMessage) -> DeliveryOutcome:
         """Deliver locally when direct delivery applies, else hand to routes."""
-        if self.direct_delivery:
-            if msg.receiver == BROADCAST:
-                for agent in list(self.agents.values()):
-                    agent.enqueue_message(msg)
-                return DeliveryOutcome.DELIVERED
-            if msg.receiver in self.agents:
-                self.agents[msg.receiver].enqueue_message(msg)
-                return DeliveryOutcome.DELIVERED
+        if self.direct_delivery and (msg.receiver == BROADCAST or msg.receiver in self.agents):
+            self.deliver_local(msg)
+            return DeliveryOutcome.DELIVERED
         matched = False
         with self._bindings_lock:
             bindings = list(self._message_bindings)
@@ -533,7 +533,7 @@ class AgentContainer:
                 raise NoMatchingEndpointError(render_term(term.literal))
             return True
         # Synchronous: first registered matching endpoint wins.
-        reply_to = _Future()
+        reply_to: Future = Future()
         chosen = None
         for binding in bindings:
             exchange = binding.offer_action(agent.id, term, mode, reply_to)
@@ -553,6 +553,6 @@ class AgentContainer:
             )
         try:
             reply = reply_to.result(mode.timeout_ms / 1000.0)
-        except TimeoutError as exc:
+        except FutureTimeoutError as exc:
             raise ActionTimeoutError(render_term(term.literal)) from exc
         return chosen.complete(reply, term)

@@ -157,7 +157,7 @@ def lifecycle_routes(
                 engine.controller(mail_route_id).resume()
             except InvalidTransitionError:
                 logger.debug("route %s already resumed", mail_route_id)
-            engine.stop_route_async(resume_id)
+            engine.controller(resume_id).stop()
 
         timer_rb = RouteBuilder()
         timer_rb.from_(f"timer:{resume_id}?delay={resume_delay_ms}", route_id=resume_id).process(

@@ -165,25 +165,23 @@ class Scenario:
 
     def _await_readiness(self) -> None:
         expected = sum(len(c.agents) for c in self.containers.values())
-        if expected == 0:
-            return
         deadline = time.monotonic() + READINESS_TIMEOUT_S
-        while time.monotonic() < deadline:
-            views = [
-                agent
-                for container in self.containers.values()
-                for agent in container.agents.values()
-            ]
-            ready = all(
-                agent.memory.get("accounts") is not None
-                and len(agent.memory.get("agents") or []) == expected
-                for agent in views
-            )
-            if ready:
+        # A container's readiness changes only in its own agents' cycles, so
+        # the containers can be waited for one after another.
+        for container in self.containers.values():
+            agents = list(container.agents.values())
+
+            def ready() -> bool:
+                return all(
+                    agent.memory.get("accounts") is not None
+                    and len(agent.memory.get("agents") or []) == expected
+                    for agent in agents
+                )
+
+            if not container.wait_until(ready, deadline - time.monotonic()):
+                logger.warning("scenario started before all agents reached readiness")
+                self.log.emit("scenario", "warning", detail="readiness timeout")
                 return
-            time.sleep(0.02)
-        logger.warning("scenario started before all agents reached readiness")
-        self.log.emit("scenario", "warning", detail="readiness timeout")
 
     def stop(self) -> None:
         for engine in self.engines.values():

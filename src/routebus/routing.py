@@ -4,23 +4,26 @@ A route consumes exchanges from one endpoint and runs each through an ordered
 pipeline of processors (set-header/set-body, filter, multicast, split,
 aggregate, idempotent-consumer, custom hooks), ending at producer endpoints.
 
-Execution model: every started route owns one worker context that pulls from
-its consumer endpoint and runs the pipeline to completion, one exchange in
-flight per route.  ``direct:`` producers run the target route's pipeline
-inline on the caller's context; ``buffered:`` producers enqueue a copy and
-return.  Aggregation buckets whose timeout elapses are flushed by a shared
-background tick (50 ms granularity) that serialises with the owning route.
+Execution model: every started route owns one worker context that blocks on
+its consumer endpoint until a delivery or a state change wakes it, and runs
+the pipeline to completion, one exchange in flight per route.  ``direct:``
+producers run the target route's pipeline inline on the caller's context;
+``buffered:`` producers enqueue a copy and return.  A timed aggregation bucket
+is flushed at its deadline by the engine's scheduler (``RouteEngine.call_at``).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from queue import Empty, Queue
+from queue import Queue
 from typing import Callable, Optional, Union
 
 from .expressions import (
@@ -51,7 +54,6 @@ __all__ = [
     "Split",
     "Aggregate",
     "IdempotentConsumer",
-    "TransformRowsToQuotedList",
     "Custom",
     "ListAppend",
     "SetUnion",
@@ -65,6 +67,7 @@ __all__ = [
     "EventLog",
     "EventRecord",
     "Component",
+    "Channel",
     "Consumer",
     "Producer",
     "Delivery",
@@ -76,13 +79,7 @@ __all__ = [
     "InvalidTransitionError",
     "RouteConfigError",
     "MissingColumnError",
-    "TICK_SECONDS",
 ]
-
-# Granularity of the aggregation-timeout tick.
-TICK_SECONDS = 0.05
-
-_POLL_SECONDS = 0.02
 
 
 class UnknownSchemeError(KeyError):
@@ -157,13 +154,6 @@ class IdempotentConsumer:
 
 
 @dataclass(frozen=True)
-class TransformRowsToQuotedList:
-    """Turn a row-set body into quoted-string list text, e.g. ``["a@x","b@x"]``."""
-
-    column: str
-
-
-@dataclass(frozen=True)
 class Custom:
     name: str
     fn: Callable[[Exchange], None]
@@ -177,7 +167,6 @@ Processor = Union[
     Split,
     Aggregate,
     IdempotentConsumer,
-    TransformRowsToQuotedList,
     Custom,
 ]
 
@@ -334,7 +323,10 @@ class RouteBuilder:
         return self._add(IdempotentConsumer(key, repo, eager))
 
     def transform_rows_to_quoted_list(self, column: str) -> "RouteBuilder":
-        return self._add(TransformRowsToQuotedList(column))
+        """Turn a row-set body into quoted-string list text, e.g. ``["a@x","b@x"]``."""
+        return self.process(
+            lambda x: transform_rows_to_quoted_list(x, column), "transform-rows-to-quoted-list"
+        )
 
     def process(self, fn: Callable[[Exchange], None], name: str = "process") -> "RouteBuilder":
         return self._add(Custom(name, fn))
@@ -411,39 +403,16 @@ class EventLog:
 @dataclass
 class Delivery:
     exchange: Exchange
-    reply: Optional["_Future"] = None
-
-
-class _Future:
-    """Tiny one-shot result holder (result or exception)."""
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._value: Optional[Exchange] = None
-        self._error: Optional[BaseException] = None
-
-    def set_result(self, value: Exchange) -> None:
-        self._value = value
-        self._event.set()
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
-
-    def result(self, timeout: Optional[float] = None) -> Exchange:
-        if not self._event.wait(timeout):
-            raise TimeoutError("no reply within timeout")
-        if self._error is not None:
-            raise self._error
-        assert self._value is not None
-        return self._value
+    reply: Optional["Future[Exchange]"] = None
 
 
 class Consumer:
     """Source of deliveries for a route; the route worker polls it.
 
-    Non-pollable consumers (``direct:``) only hook start/stop and are fed
-    inline by producers instead of a worker thread.
+    ``poll(live)`` blocks until a delivery is ready, or returns None once
+    ``live()`` is false; ``wake()`` makes a blocked ``poll`` check ``live()``
+    again.  Non-pollable consumers (``direct:``) only hook start/stop and are
+    fed inline by producers instead of a worker thread.
     """
 
     pollable = True
@@ -454,8 +423,11 @@ class Consumer:
     def stop(self) -> None:
         pass
 
-    def poll(self, timeout: float) -> Optional[Delivery]:
+    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
         raise NotImplementedError
+
+    def wake(self) -> None:
+        pass
 
 
 class Producer:
@@ -475,20 +447,40 @@ class Component:
         raise EndpointInitError(f"{uri.scheme}: does not support producers")
 
 
-class _QueueConsumer(Consumer):
-    """Base for push-style endpoints that hand exchanges over through a queue."""
+class Channel(Queue):
+    """A FIFO queue whose reader blocks until an item arrives or it is woken."""
 
-    def __init__(self, maxsize: int = 1024):
-        self.queue: Queue[Delivery] = Queue(maxsize=maxsize)
+    def take(self, live: Callable[[], bool]):
+        """The next item, or None once ``live()`` is false."""
+        with self.not_empty:
+            while live():
+                if self._qsize():
+                    self.not_full.notify()
+                    return self._get()
+                self.not_empty.wait()
+        return None
 
-    def offer(self, delivery: Delivery) -> None:
-        self.queue.put(delivery)
+    def wake(self) -> None:
+        """Make every blocked ``take`` check its ``live()`` again."""
+        with self.not_empty:
+            self.not_empty.notify_all()
 
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        try:
-            return self.queue.get(timeout=timeout)
-        except Empty:
-            return None
+
+class _ChannelConsumer(Consumer):
+    """Feeds a route from a channel of exchanges (see ``_delivery``)."""
+
+    def __init__(self, channel: Optional[Channel] = None):
+        self.channel = channel
+
+    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
+        item = self.channel.take(live)
+        return None if item is None else self._delivery(item)
+
+    def _delivery(self, item) -> Delivery:
+        return Delivery(item)
+
+    def wake(self) -> None:
+        self.channel.wake()
 
 
 # Engine-internal endpoints.  ``direct:`` invokes the target route inline on
@@ -531,25 +523,14 @@ class _DirectProducer(Producer):
 
 class _BufferedComponent(Component):
     def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Optional[Consumer]:
-        return _BufferedConsumer(route.engine._buffer(uri.path))
+        return _ChannelConsumer(route.engine._buffer(uri.path))
 
     def create_producer(self, uri: EndpointUri, engine: "RouteEngine", route_id: str) -> Producer:
         return _BufferedProducer(engine._buffer(uri.path))
 
 
-class _BufferedConsumer(Consumer):
-    def __init__(self, queue: "Queue[Exchange]"):
-        self._queue = queue
-
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        try:
-            return Delivery(self._queue.get(timeout=timeout))
-        except Empty:
-            return None
-
-
 class _BufferedProducer(Producer):
-    def __init__(self, queue: "Queue[Exchange]"):
+    def __init__(self, queue: Channel):
         self._queue = queue
 
     def process(self, exchange: Exchange) -> None:
@@ -602,18 +583,30 @@ class _Bucket:
 
 
 class AggregateState:
-    """Correlation buckets for one aggregate step of one route."""
+    """Correlation buckets for one aggregate step of one route, in opening
+    order; ``schedule`` gets the deadline of each new timed bucket."""
 
-    def __init__(self, step: Aggregate, tail: tuple[Processor, ...]):
+    def __init__(
+        self,
+        step: Aggregate,
+        tail: tuple[Processor, ...],
+        schedule: Callable[[float], None] = lambda when: None,
+    ):
         self.step = step
         self.tail = tail
-        self.buckets: dict[str, _Bucket] = {}
+        self.schedule = schedule
+        self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
         self.lock = threading.Lock()
 
     def offer(self, x: Exchange) -> Optional[Exchange]:
         key = stringify(eval_expr(self.step.correlation, x))
+        timeout_ms = self.step.completion_timeout_ms
         with self.lock:
-            bucket = self.buckets.setdefault(key, _Bucket())
+            bucket = self.buckets.get(key)
+            if bucket is None:
+                bucket = self.buckets[key] = _Bucket()
+                if timeout_ms is not None:
+                    self.schedule(bucket.first_monotonic + timeout_ms / 1000.0)
             bucket.exchanges.append(x)
             if self.step.completion_size is not None:
                 size = self.step.completion_size
@@ -627,11 +620,15 @@ class AggregateState:
     def flush_expired(self) -> list[Exchange]:
         if self.step.completion_timeout_ms is None:
             return []
-        deadline = time.monotonic() - self.step.completion_timeout_ms / 1000.0
+        opened_by = time.monotonic() - self.step.completion_timeout_ms / 1000.0
         merged = []
         with self.lock:
-            for key in [k for k, b in self.buckets.items() if b.first_monotonic <= deadline]:
-                bucket = self.buckets.pop(key)
+            # Opening order is deadline order: stop at the first open bucket.
+            while self.buckets:
+                key, bucket = next(iter(self.buckets.items()))
+                if bucket.first_monotonic > opened_by:
+                    break
+                del self.buckets[key]
                 merged.append(self.step.strategy.merge(bucket.exchanges))
         return merged
 
@@ -654,9 +651,10 @@ class RouteService:
         self._producers: dict[str, Producer] = {}
         self._agg_states: dict[int, AggregateState] = {}
         self._exec_lock = threading.RLock()
-        self._state_lock = threading.Lock()
+        self._state_changed = threading.Condition()
+        # Counts lifecycle transitions, so a parked worker can tell one happened.
+        self._transitions = 0
         self._worker: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
 
     @property
     def route_id(self) -> str:
@@ -665,12 +663,11 @@ class RouteService:
     # -- lifecycle --
 
     def start(self) -> None:
-        with self._state_lock:
+        with self._state_changed:
             if self.state is not RouteState.STOPPED:
                 raise InvalidTransitionError(f"{self.route_id}: start from {self.state.value}")
             self._init_endpoints()
             self.state = RouteState.STARTED
-            self._stopping.clear()
             if self._consumer is not None:
                 self._consumer.start()
                 if self._consumer.pollable:
@@ -681,70 +678,81 @@ class RouteService:
         self.engine.log.emit(self.route_id, "lifecycle", detail="started")
 
     def suspend(self) -> None:
-        with self._state_lock:
-            if self.state is not RouteState.STARTED:
-                raise InvalidTransitionError(f"{self.route_id}: suspend from {self.state.value}")
-            self.state = RouteState.SUSPENDED
+        self._transition("suspend", (RouteState.STARTED,), RouteState.SUSPENDED)
         self.engine.log.emit(self.route_id, "lifecycle", detail="suspended")
 
     def resume(self) -> None:
-        with self._state_lock:
-            if self.state is not RouteState.SUSPENDED:
-                raise InvalidTransitionError(f"{self.route_id}: resume from {self.state.value}")
-            self.state = RouteState.STARTED
+        self._transition("resume", (RouteState.SUSPENDED,), RouteState.STARTED)
         self.engine.log.emit(self.route_id, "lifecycle", detail="resumed")
 
     def stop(self) -> None:
-        with self._state_lock:
-            if self.state is RouteState.STOPPED:
-                raise InvalidTransitionError(f"{self.route_id}: stop from {self.state.value}")
-            self.state = RouteState.STOPPED
-            self._stopping.set()
-            worker = self._worker
-            self._worker = None
-        if worker is not None:
+        worker = self._transition(
+            "stop", (RouteState.STARTED, RouteState.SUSPENDED), RouteState.STOPPED
+        )
+        # From its own worker (a step stopping its route), the worker exits
+        # once the current exchange is done.
+        if worker is not None and worker is not threading.current_thread():
             worker.join(timeout=2.0)
         if self._consumer is not None:
             self._consumer.stop()
         self.engine.log.emit(self.route_id, "lifecycle", detail="stopped")
 
+    def _transition(
+        self, verb: str, allowed: tuple[RouteState, ...], to: RouteState
+    ) -> Optional[threading.Thread]:
+        """Change state, wake the worker, and hand it back."""
+        with self._state_changed:
+            if self.state not in allowed:
+                raise InvalidTransitionError(f"{self.route_id}: {verb} from {self.state.value}")
+            self.state = to
+            self._transitions += 1
+            self._state_changed.notify_all()
+            worker = self._worker
+            if to is RouteState.STOPPED:
+                self._worker = None
+        if self._consumer is not None:
+            self._consumer.wake()
+        return worker
+
     def _init_endpoints(self) -> None:
-        if self._consumer is None and not self._producers:
+        # Producers first: a start that failed on one is completed by the next.
+        for step in self.definition.steps:
+            if isinstance(step, To):
+                for text in step.uris:
+                    if text in self._producers:
+                        continue
+                    uri = parse_uri(text)
+                    comp = self.engine.component(uri.scheme)
+                    self._producers[text] = comp.create_producer(
+                        uri, self.engine, self.route_id
+                    )
+        if self._consumer is None:
             uri = self.definition.from_uri
             component = self.engine.component(uri.scheme)
             self._consumer = component.create_consumer(uri, self)
-            for step in self.definition.steps:
-                if isinstance(step, To):
-                    for text in step.uris:
-                        if text in self._producers:
-                            continue
-                        uri = parse_uri(text)
-                        comp = self.engine.component(uri.scheme)
-                        self._producers[text] = comp.create_producer(
-                            uri, self.engine, self.route_id
-                        )
 
     # -- execution --
 
     def _poll_loop(self) -> None:
-        while not self._stopping.is_set():
-            if self.state is RouteState.SUSPENDED:
-                time.sleep(0.01)
-                continue
-            consumer = self._consumer
-            if consumer is None:
-                return
+        while True:
+            with self._state_changed:
+                self._state_changed.wait_for(lambda: self.state is not RouteState.SUSPENDED)
+                if self.state is RouteState.STOPPED:
+                    return
+                seen = self._transitions
             try:
-                delivery = consumer.poll(_POLL_SECONDS)
+                delivery = self._consumer.poll(lambda: self.state is RouteState.STARTED)
             except Exception:
                 logger.exception("route %s: consumer poll failed", self.route_id)
                 self.engine.log.emit(self.route_id, "error", detail="consumer poll failed")
-                time.sleep(_POLL_SECONDS)
+                # Park until the next suspend, resume or stop; never retry on a timer.
+                with self._state_changed:
+                    self._state_changed.wait_for(lambda: self._transitions != seen)
                 continue
             if delivery is not None:
                 self.process(delivery.exchange, delivery.reply)
 
-    def process(self, exchange: Exchange, reply: Optional[_Future] = None) -> None:
+    def process(self, exchange: Exchange, reply: Optional[Future] = None) -> None:
         with self._exec_lock:
             self.engine.log.emit(self.route_id, "receive", exchange.id)
             try:
@@ -781,8 +789,6 @@ class RouteService:
                 if stringify(eval_expr(step.expr, x)) != step.value:
                     self.engine.log.emit(self.route_id, "drop", x.id, detail="filtered")
                     return x
-            elif isinstance(step, TransformRowsToQuotedList):
-                transform_rows_to_quoted_list(x, step.column)
             elif isinstance(step, Custom):
                 step.fn(x)
             elif isinstance(step, To):
@@ -832,24 +838,24 @@ class RouteService:
             raise first_error
 
     def _send(self, uri: str, x: Exchange) -> None:
-        producer = self._producers.get(uri)
-        if producer is None:
-            parsed = parse_uri(uri)
-            producer = self.engine.component(parsed.scheme).create_producer(
-                parsed, self.engine, self.route_id
-            )
-            self._producers[uri] = producer
+        producer = self._producers[uri]  # every ``To`` producer is made at start
         self.engine.log.emit(self.route_id, "send", x.id, detail=uri)
         producer.process(x)
 
     def _agg_state(self, index: int, steps: tuple[Processor, ...]) -> AggregateState:
         state = self._agg_states.get(index)
         if state is None:
-            state = AggregateState(steps[index], steps[index + 1 :])  # type: ignore[arg-type]
+            state = AggregateState(
+                steps[index],  # type: ignore[arg-type]
+                steps[index + 1 :],
+                lambda when: self.engine.call_at(when, self._flush_expired),
+            )
             self._agg_states[index] = state
         return state
 
     def _flush_expired(self) -> None:
+        if self.state is RouteState.STOPPED:
+            return
         for state in list(self._agg_states.values()):
             for merged in state.flush_expired():
                 with self._exec_lock:
@@ -903,10 +909,13 @@ class RouteEngine:
         }
         self._services: dict[str, RouteService] = {}
         self._direct: dict[str, RouteService] = {}
-        self._buffers: dict[str, Queue] = {}
+        self._buffers: dict[str, Channel] = {}
         self._lock = threading.Lock()
         self._ticker: Optional[threading.Thread] = None
-        self._shutdown = threading.Event()
+        self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap
+        self._due_seq = itertools.count()
+        self._due_changed = threading.Condition()
+        self._shutdown = False
 
     # -- configuration --
 
@@ -946,7 +955,9 @@ class RouteEngine:
                 service.start()
 
     def stop(self) -> None:
-        self._shutdown.set()
+        with self._due_changed:
+            self._shutdown = True
+            self._due_changed.notify_all()
         for service in list(self._services.values()):
             if service.state is not RouteState.STOPPED:
                 service.stop()
@@ -954,10 +965,11 @@ class RouteEngine:
             self._ticker.join(timeout=1.0)
             self._ticker = None
 
-    def stop_route_async(self, route_id: str) -> None:
-        """Stop a route from a thread that may be inside that route's pipeline."""
-        service = self._services[route_id]
-        threading.Thread(target=lambda: service.stop(), daemon=True).start()
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on the tick thread once ``time.monotonic()`` reaches ``when``."""
+        with self._due_changed:
+            heapq.heappush(self._due, (when, next(self._due_seq), fn))
+            self._due_changed.notify()
 
     # -- plumbing used by endpoints --
 
@@ -979,24 +991,36 @@ class RouteEngine:
             if svc is route:
                 del self._direct[name]
 
-    def _buffer(self, name: str) -> Queue:
+    def _buffer(self, name: str) -> Channel:
         with self._lock:
             q = self._buffers.get(name)
             if q is None:
-                q = Queue()
+                q = Channel()
                 self._buffers[name] = q
             return q
 
     def _ensure_ticker(self) -> None:
         if self._ticker is None or not self._ticker.is_alive():
-            self._shutdown.clear()
+            self._shutdown = False
             self._ticker = threading.Thread(
                 target=self._tick_loop, name=f"{self.name}-tick", daemon=True
             )
             self._ticker.start()
 
     def _tick_loop(self) -> None:
-        while not self._shutdown.wait(TICK_SECONDS):
-            for service in list(self._services.values()):
-                if service.state is not RouteState.STOPPED:
-                    service._flush_expired()
+        while True:
+            with self._due_changed:
+                while not self._shutdown and (
+                    not self._due or self._due[0][0] > time.monotonic()
+                ):
+                    self._due_changed.wait(
+                        self._due[0][0] - time.monotonic() if self._due else None
+                    )
+                if self._shutdown:
+                    return
+                fn = heapq.heappop(self._due)[2]
+            try:
+                fn()
+            except Exception:
+                logger.exception("engine %s: scheduled call failed", self.name)
+                self.log.emit(self.name, "error", detail="scheduled call failed")

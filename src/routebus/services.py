@@ -22,12 +22,13 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from queue import Empty, Queue
-from typing import Optional, Sequence, Union
+from queue import Empty
+from typing import Callable, Optional, Sequence, Union
 
 from .expressions import stringify
 from .messages import EndpointUri, Exchange, ExchangePattern, RowSet, new_exchange
-from .routing import Component, Consumer, Delivery, EventLog, Producer, RouteEngine
+from .routing import Channel, Component, Consumer, Delivery, EventLog, Producer, RouteEngine
+from .routing import _ChannelConsumer
 from .terms import Compound, ListTerm, Str, TermSyntaxError, parse_term, render_term
 
 logger = logging.getLogger(__name__)
@@ -106,28 +107,28 @@ class UnknownColumnError(KeyError):
 
 class BrokerService:
     def __init__(self):
-        self._queues: dict[str, Queue] = {}
-        self._topics: dict[str, list[Queue]] = {}
+        self._queues: dict[str, Channel] = {}
+        self._topics: dict[str, list[Channel]] = {}
         self._lock = threading.Lock()
 
-    def queue(self, name: str) -> Queue:
+    def queue(self, name: str) -> Channel:
         with self._lock:
             q = self._queues.get(name)
             if q is None:
-                q = Queue()
+                q = Channel()
                 self._queues[name] = q
             return q
 
     def send_queue(self, name: str, exchange: Exchange) -> None:
         self.queue(name).put(exchange.copy())
 
-    def subscribe_topic(self, name: str) -> Queue:
-        q: Queue = Queue()
+    def subscribe_topic(self, name: str) -> Channel:
+        q = Channel()
         with self._lock:
             self._topics.setdefault(name, []).append(q)
         return q
 
-    def unsubscribe_topic(self, name: str, q: Queue) -> None:
+    def unsubscribe_topic(self, name: str, q: Channel) -> None:
         with self._lock:
             subs = self._topics.get(name, [])
             if q in subs:
@@ -147,38 +148,19 @@ def _broker_destination(uri: EndpointUri) -> tuple[str, str]:
     return kind, name
 
 
-class _BrokerQueueConsumer(Consumer):
+class _BrokerTopicConsumer(_ChannelConsumer):
+    """Subscribes a fresh channel to the topic while the route runs."""
+
     def __init__(self, service: BrokerService, name: str):
-        self._queue = service.queue(name)
-
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        try:
-            return Delivery(self._queue.get(timeout=timeout))
-        except Empty:
-            return None
-
-
-class _BrokerTopicConsumer(Consumer):
-    def __init__(self, service: BrokerService, name: str):
+        super().__init__()
         self._service = service
         self._name = name
-        self._queue: Optional[Queue] = None
 
     def start(self) -> None:
-        self._queue = self._service.subscribe_topic(self._name)
+        self.channel = self._service.subscribe_topic(self._name)
 
     def stop(self) -> None:
-        if self._queue is not None:
-            self._service.unsubscribe_topic(self._name, self._queue)
-            self._queue = None
-
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        if self._queue is None:
-            return None
-        try:
-            return Delivery(self._queue.get(timeout=timeout))
-        except Empty:
-            return None
+        self._service.unsubscribe_topic(self._name, self.channel)
 
 
 class _BrokerProducer(Producer):
@@ -205,7 +187,7 @@ class BrokerComponent(Component):
     def create_consumer(self, uri: EndpointUri, route) -> Consumer:
         kind, name = _broker_destination(uri)
         if kind == "queue":
-            return _BrokerQueueConsumer(self.service, name)
+            return _ChannelConsumer(self.service.queue(name))
         return _BrokerTopicConsumer(self.service, name)
 
     def create_producer(self, uri: EndpointUri, engine: RouteEngine, route_id: str) -> Producer:
@@ -237,27 +219,13 @@ class CoordSession:
     owned: list[str] = field(default_factory=list)
 
 
-class WatchStream:
-    """Per-consumer stream of child-name lists for one node."""
+class WatchStream(Channel):
+    """Per-consumer channel of child-name lists for one node."""
 
-    def __init__(self, repeat: bool):
-        self.repeat = repeat
-        self.queue: Queue[list[str]] = Queue()
-        self._armed = True
-
-    def push(self, children: list[str]) -> None:
-        if not self._armed:
-            return
-        self.queue.put(children)
-        if not self.repeat:
-            self._armed = False
-
-    def rearm(self) -> None:
-        self._armed = True
-
-    def get(self, timeout: Optional[float] = None) -> Optional[list[str]]:
+    def get(self, block: bool = True, timeout: Optional[float] = None) -> Optional[list[str]]:
+        """The next list, or None when none arrives within ``timeout``."""
         try:
-            return self.queue.get(timeout=timeout)
+            return super().get(block, timeout)
         except Empty:
             return None
 
@@ -378,13 +346,15 @@ class CoordService:
             return sorted(node.children)
 
     def watch_children(self, path: str, repeat: bool = True) -> WatchStream:
-        """Stream the current child list immediately and on every change."""
+        """Stream the current child list immediately and, with ``repeat``, on
+        every change."""
         with self._lock:
             if path not in self._nodes:
                 raise NoNodeError(path)
-            stream = WatchStream(repeat)
-            self._watches.setdefault(path, []).append(stream)
-            stream.push(self.get_children(path))
+            stream = WatchStream()
+            if repeat:
+                self._watches.setdefault(path, []).append(stream)
+            stream.put(self.get_children(path))
             return stream
 
     def unwatch(self, path: str, stream: WatchStream) -> None:
@@ -396,7 +366,7 @@ class CoordService:
     def _notify_children(self, path: str) -> None:
         children = self.get_children(path) if path in self._nodes else []
         for stream in self._watches.get(path, []):
-            stream.push(children)
+            stream.put(children)
 
 
 def _coord_node_path(uri: EndpointUri) -> str:
@@ -410,27 +380,20 @@ def _coord_node_path(uri: EndpointUri) -> str:
     return path if path.startswith("/") else "/" + path
 
 
-class _CoordWatchConsumer(Consumer):
+class _CoordWatchConsumer(_ChannelConsumer):
     def __init__(self, service: CoordService, path: str, repeat: bool):
+        super().__init__()
         self._service = service
         self._path = path
         self._repeat = repeat
-        self._stream: Optional[WatchStream] = None
 
     def start(self) -> None:
-        self._stream = self._service.watch_children(self._path, self._repeat)
+        self.channel = self._service.watch_children(self._path, self._repeat)
 
     def stop(self) -> None:
-        if self._stream is not None:
-            self._service.unwatch(self._path, self._stream)
-            self._stream = None
+        self._service.unwatch(self._path, self.channel)
 
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        if self._stream is None:
-            return None
-        children = self._stream.get(timeout)
-        if children is None:
-            return None
+    def _delivery(self, children: list[str]) -> Delivery:
         return Delivery(new_exchange(ExchangePattern.IN_ONLY, list(children)))
 
 
@@ -491,6 +454,7 @@ class MailStore:
         self._accounts: dict[str, dict[str, list[MailMessage]]] = {}
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
+        self._arrived = threading.Condition(self._lock)
         self.log = log
 
     def add_account(self, name: str) -> None:
@@ -504,13 +468,26 @@ class MailStore:
     def deliver(self, to: Sequence[str], from_addr: str, subject: str, body: str) -> list[str]:
         """One copy per recipient inbox; recipient accounts are created on demand."""
         ids = []
+        recipients = tuple(to)
         with self._lock:
-            for recipient in to:
+            for recipient in recipients:
                 folders = self._accounts.setdefault(recipient, {"inbox": []})
-                mail = MailMessage(str(next(self._seq)), from_addr, subject, tuple(to), body)
+                mail = MailMessage(str(next(self._seq)), from_addr, subject, recipients, body)
                 folders["inbox"].append(mail)
                 ids.append(mail.id)
+            self._arrived.notify_all()
         return ids
+
+    def wait_unread(self, account: str, live: Callable[[], bool]) -> bool:
+        """Block until ``account`` has unread mail (True) or ``live()`` is
+        false (False).  The account need not exist yet."""
+        with self._arrived:
+            while live():
+                folders = self._accounts.get(account)
+                if folders is not None and any(m.unread for m in folders["inbox"]):
+                    return True
+                self._arrived.wait()
+        return False
 
     def poll(self, account: str, delete: bool = False, copy_to: Optional[str] = None) -> list[MailMessage]:
         with self._lock:
@@ -543,19 +520,22 @@ class _MailConsumer(Consumer):
         self._copy_to = copy_to
         self._pending: list[MailMessage] = []
 
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        if not self._pending:
+    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
+        while not self._pending:
+            if not self._store.wait_unread(self._account, live):
+                return None
             self._pending = self._store.poll(self._account, self._delete, self._copy_to)
-        if self._pending:
-            mail = self._pending.pop(0)
-            exchange = new_exchange(
-                ExchangePattern.IN_ONLY,
-                mail.body,
-                {"from": mail.from_addr, "subject": mail.subject, "id": mail.id},
-            )
-            return Delivery(exchange)
-        time.sleep(timeout)
-        return None
+        mail = self._pending.pop(0)
+        exchange = new_exchange(
+            ExchangePattern.IN_ONLY,
+            mail.body,
+            {"from": mail.from_addr, "subject": mail.subject, "id": mail.id},
+        )
+        return Delivery(exchange)
+
+    def wake(self) -> None:
+        with self._store._arrived:
+            self._store._arrived.notify_all()
 
 
 def _recipients_from_header(value) -> list[str]:
@@ -729,30 +709,31 @@ class TableComponent(Component):
 # --- timer ----------------------------------------------------------------------------
 
 
-class _TimerConsumer(Consumer):
-    def __init__(self, delay_ms: int, period_ms: Optional[int]):
+class _TimerConsumer(_ChannelConsumer):
+    """Fires through the engine's scheduler into the channel of the current
+    start; a call scheduled before a stop finds that channel gone."""
+
+    def __init__(self, engine: RouteEngine, delay_ms: int, period_ms: Optional[int]):
+        super().__init__()
+        self._engine = engine
         self._delay = delay_ms / 1000.0
         self._period = period_ms / 1000.0 if period_ms is not None else None
-        self._next_due: Optional[float] = None
-        self._done = False
 
     def start(self) -> None:
-        self._next_due = time.monotonic() + self._delay
+        self.channel = Channel()
+        self._fire_at(time.monotonic() + self._delay, self.channel)
 
-    def poll(self, timeout: float) -> Optional[Delivery]:
-        if self._done or self._next_due is None:
-            time.sleep(timeout)
-            return None
-        now = time.monotonic()
-        if now < self._next_due:
-            time.sleep(min(timeout, self._next_due - now))
-            if time.monotonic() < self._next_due:
-                return None
-        if self._period is not None:
-            self._next_due += self._period
-        else:
-            self._done = True
-        return Delivery(new_exchange(ExchangePattern.IN_ONLY))
+    def stop(self) -> None:
+        self.channel = None
+
+    def _fire_at(self, due: float, channel: Channel) -> None:
+        def fire() -> None:
+            if channel is self.channel:
+                channel.put(new_exchange(ExchangePattern.IN_ONLY))
+                if self._period is not None:
+                    self._fire_at(due + self._period, channel)
+
+        self._engine.call_at(due, fire)
 
 
 class TimerComponent(Component):
@@ -762,4 +743,4 @@ class TimerComponent(Component):
             raise ValueError("timer delay must be >= 0")
         period_text = uri.get("period")
         period = int(period_text) if period_text else None
-        return _TimerConsumer(delay, period)
+        return _TimerConsumer(route.engine, delay, period)

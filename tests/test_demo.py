@@ -1,9 +1,14 @@
+import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from routebus import agent_endpoints
+from routebus.agents import AgentContainer
+from routebus.routing import RouteService
+from routebus.services import MailStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
 from routebus.demo.config import (
     AgentSpec,
@@ -176,6 +181,39 @@ def test_scenario_forwards_to_keyword_matches(fast_scenario, monkeypatch):
     assert any(text.startswith("check_relevance(") for text in seen)
     for text in seen:
         assert render_term(parse_term(text)) == text
+
+
+def test_idle_scenario_does_no_work(monkeypatch):
+    calls = Counter()
+    for owner, name in (
+        (AgentContainer, "run_cycle"),
+        (MailStore, "poll"),
+        (RouteService, "_flush_expired"),
+    ):
+
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    scenario = Scenario(ScenarioConfig.default())
+    scenario.start()
+    try:
+        time.sleep(0.2)  # the start-up mail and agent cycles settle
+        calls.clear()
+        time.sleep(0.5)
+        assert calls == Counter()
+    finally:
+        scenario.stop()
+
+
+def test_scenario_stop_leaves_no_threads():
+    before = set(threading.enumerate())
+    scenario = Scenario(ScenarioConfig.default())
+    scenario.start()
+    assert set(threading.enumerate()) - before
+    scenario.stop()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
 def test_scenario_allocations_agree(fast_scenario):

@@ -1,0 +1,271 @@
+"""Blocking waits: every consumer kind wakes on a delivery or a lifecycle
+change, the engine's deadline scheduler runs due calls in order, and a
+failing poll parks its worker instead of retrying."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from routebus.agent_endpoints import AgentComponent
+from routebus.agents import AgentContainer, AgentMessage
+from routebus.expressions import header
+from routebus.messages import new_exchange
+from routebus.routing import (
+    Aggregate,
+    AggregateState,
+    Channel,
+    Component,
+    Consumer,
+    ListAppend,
+    RouteBuilder,
+    RouteEngine,
+)
+from routebus.services import (
+    BrokerComponent,
+    BrokerService,
+    CoordComponent,
+    CoordService,
+    MailComponent,
+    MailStore,
+    TimerComponent,
+)
+from routebus.terms import Atom
+
+
+@pytest.fixture
+def engine():
+    eng = RouteEngine()
+    yield eng
+    eng.stop()
+
+
+def wait_for(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
+# --- every consumer kind honours suspend, resume and stop ---------------------------
+#
+# Each source factory registers what the kind needs and returns
+# (uri, feed, initial): ``feed()`` makes one delivery available, and
+# ``initial`` is how many receives the route makes on its own after start.
+
+
+def buffered_source(engine):
+    return "buffered:in", lambda: engine._buffer("in").put(new_exchange(body="x")), 0
+
+
+def broker_queue_source(engine):
+    broker = BrokerService()
+    engine.add_component("broker", BrokerComponent(broker))
+    return "broker:queue:q", lambda: broker.send_queue("q", new_exchange(body="x")), 0
+
+
+def broker_topic_source(engine):
+    broker = BrokerService()
+    engine.add_component("broker", BrokerComponent(broker))
+    return "broker:topic:t", lambda: broker.send_topic("t", new_exchange(body="x")), 0
+
+
+def coord_source(engine):
+    coord = CoordService()
+    coord.create(None, "/g")
+    session = coord.create_session()
+    engine.add_component("coord", CoordComponent(coord, session))
+    feed = lambda: coord.create(session, "/g/n", "", "EPHEMERAL_SEQUENTIAL")
+    return "coord://srv/g?listChildren=true&repeat=true", feed, 1
+
+
+def mail_source(engine):
+    store = MailStore()
+    engine.add_component("mail", MailComponent(store))
+    # The account does not exist until the first delivery creates it.
+    return "mail:box?delete=true", lambda: store.deliver(["box"], "a@x", "s", "b"), 0
+
+
+def timer_source(engine):
+    # The one tick falls due while the route is suspended.
+    engine.add_component("timer", TimerComponent())
+    return "timer:t?delay=50", lambda: None, 0
+
+
+def agent_message_source(engine):
+    container = AgentContainer("c1")
+    engine.add_component("agent", AgentComponent(container))
+    msg = AgentMessage("tell", "c1__a", "elsewhere", Atom("hi"), "m1")
+    return "agent:message", lambda: container.route_local_message(msg), 0
+
+
+SOURCES = {
+    "buffered": buffered_source,
+    "broker-queue": broker_queue_source,
+    "broker-topic": broker_topic_source,
+    "coord": coord_source,
+    "mail": mail_source,
+    "timer": timer_source,
+    "agent-message": agent_message_source,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+def test_consumer_honours_suspend_resume_stop(engine, kind):
+    uri, feed, initial = SOURCES[kind](engine)
+    rb = RouteBuilder()
+    rb.from_(uri, route_id="r")
+    (ctl,) = engine.add_routes(rb)
+
+    def receives():
+        return len(engine.log.events(event="receive", route_id="r"))
+
+    assert wait_for(lambda: receives() >= initial)
+    ctl.suspend()
+    before = receives()
+    feed()
+    time.sleep(0.2)
+    assert receives() == before
+
+    ctl.resume()
+    assert wait_for(lambda: receives() > before)
+
+    t0 = time.monotonic()
+    ctl.stop()
+    assert time.monotonic() - t0 < 0.5
+    assert not [t for t in threading.enumerate() if t.name == "route-r"]
+
+
+# --- a failing poll parks its worker -----------------------------------------------
+
+
+class _FailingConsumer(Consumer):
+    def __init__(self):
+        self.polls = 0
+
+    def poll(self, live):
+        self.polls += 1
+        raise RuntimeError("source unavailable")
+
+
+class _FailingComponent(Component):
+    def __init__(self):
+        self.consumer = _FailingConsumer()
+
+    def create_consumer(self, uri, route):
+        return self.consumer
+
+
+def test_failing_poll_logs_once_and_parks_until_state_changes(engine):
+    component = _FailingComponent()
+    engine.add_component("failing", component)
+    rb = RouteBuilder()
+    rb.from_("failing:src", route_id="f")
+    (ctl,) = engine.add_routes(rb)
+
+    def errors():
+        return len(engine.log.events(event="error", route_id="f"))
+
+    assert wait_for(lambda: errors() == 1)
+    time.sleep(0.2)
+    assert errors() == 1
+    assert component.consumer.polls == 1
+
+    # A lifecycle change is what lets the worker try again.
+    ctl.suspend()
+    ctl.resume()
+    assert wait_for(lambda: errors() == 2)
+
+    t0 = time.monotonic()
+    ctl.stop()
+    assert time.monotonic() - t0 < 0.5
+    assert not [t for t in threading.enumerate() if t.name == "route-f"]
+
+
+# --- deadline scheduler ------------------------------------------------------------
+
+
+def test_call_at_runs_due_calls_in_deadline_order(engine):
+    engine.start()
+    order = []
+    done = threading.Event()
+    now = time.monotonic()
+    engine.call_at(now + 0.10, lambda: (order.append("late"), done.set()))
+    engine.call_at(now + 0.05, lambda: order.append("early"))
+    assert done.wait(2)
+    assert order == ["early", "late"]
+    assert time.monotonic() - now >= 0.10
+
+
+def test_scheduled_call_that_raises_does_not_stop_the_scheduler(engine):
+    engine.start()
+    done = threading.Event()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    engine.call_at(time.monotonic(), boom)
+    engine.call_at(time.monotonic() + 0.02, done.set)
+    assert done.wait(2)
+    assert engine.log.events(event="error", route_id=engine.name)
+
+
+def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired():
+    scheduled = []
+    step = Aggregate(header("k"), ListAppend(), completion_timeout_ms=100)
+    state = AggregateState(step, (), scheduled.append)
+    state.offer(new_exchange(body="a", headers={"k": "1"}))
+    state.offer(new_exchange(body="b", headers={"k": "1"}))
+    assert len(scheduled) == 1  # one deadline per opened bucket
+    assert scheduled[0] - time.monotonic() <= 0.1
+    time.sleep(0.12)
+    state.offer(new_exchange(body="c", headers={"k": "2"}))
+    merged = state.flush_expired()
+    assert [x.in_msg.body for x in merged] == [["a", "b"]]
+    assert list(state.buckets) == ["2"]
+    assert len(scheduled) == 2
+
+
+# --- channel under contention --------------------------------------------------------
+
+
+def test_channel_delivers_each_item_once_and_wakes_every_taker():
+    channel = Channel()
+    live = threading.Event()
+    live.set()
+    taken = []
+    lock = threading.Lock()
+
+    def take_all():
+        while True:
+            item = channel.take(live.is_set)
+            if item is None:
+                return
+            with lock:
+                taken.append(item)
+
+    def put_range(start):
+        for i in range(start, start + 1000):
+            channel.put(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        takers = [threading.Thread(target=take_all) for _ in range(4)]
+        putters = [threading.Thread(target=put_range, args=(k * 1000,)) for k in range(3)]
+        for t in takers + putters:
+            t.start()
+        for t in putters:
+            t.join(timeout=10)
+        assert wait_for(lambda: len(taken) == 3000, timeout=10)
+        live.clear()
+        channel.wake()
+        for t in takers:
+            t.join(timeout=2)
+        assert not any(t.is_alive() for t in takers + putters)
+    finally:
+        sys.setswitchinterval(old)
+    assert sorted(taken) == list(range(3000))

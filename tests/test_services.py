@@ -263,6 +263,14 @@ def test_unknown_account_poll():
         store.poll("nope")
 
 
+def test_deliver_shares_one_recipient_tuple():
+    store = MailStore()
+    store.deliver(["a@x", "b@x", "c@x"], "s@x", "subj", "body")
+    copies = [store.folder(a, "inbox")[0] for a in ("a@x", "b@x", "c@x")]
+    assert copies[0].to == ("a@x", "b@x", "c@x")
+    assert all(copy.to is copies[0].to for copy in copies)
+
+
 def test_mail_conservation_on_deliver():
     store = MailStore()
     before = sum(len(store.folder(a, "inbox")) for a in store.accounts())
