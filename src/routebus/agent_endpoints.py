@@ -27,14 +27,13 @@ from .agents import (
     Sync,
     UpdateMode,
 )
-from .expressions import stringify
+from .expressions import body_to_term, stringify
 from .messages import BodyValue, EndpointUri, Exchange, ExchangePattern, new_exchange
 from .routing import Channel, Component, Consumer, Delivery, Producer, RouteEngine, _ChannelConsumer
 from .terms import (
     ActionTerm,
     Atom,
     Compound,
-    Number,
     Str,
     Term,
     TermSyntaxError,
@@ -111,28 +110,9 @@ _ALLOWED_PARAMS = {
 }
 
 
-def split_outside_brackets(text: str, sep: str = ",") -> list[str]:
-    """Split on ``sep`` skipping separators nested in parentheses/brackets."""
-    parts: list[str] = []
-    depth = 0
-    buf: list[str] = []
-    in_str = False
-    for ch in text:
-        if ch == '"':
-            in_str = not in_str
-        if not in_str:
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == sep and depth == 0:
-                parts.append("".join(buf))
-                buf = []
-                continue
-        buf.append(ch)
-    if buf or parts:
-        parts.append("".join(buf))
-    return parts
+def _parse_annotations(text: str) -> tuple[Term, ...]:
+    """A comma-separated annotation list, read as the elements of one list term."""
+    return parse_term("[" + text + "]").elements
 
 
 def _expand_groups(template: str, match: "re.Match[str]") -> str:
@@ -216,11 +196,7 @@ class AgentEndpointConfig:
             values[name] = value
         annotations: tuple[Term, ...] = ()
         if "annotations" in values:
-            annotations = tuple(
-                parse_term(part.strip())
-                for part in split_outside_brackets(values["annotations"])
-                if part.strip()
-            )
+            annotations = _parse_annotations(values["annotations"])
         result_map: tuple[tuple[str, int], ...] = ()
         if "resultHeaderMap" in values:
             pairs = []
@@ -356,19 +332,15 @@ def consume_agent_action(
 
 
 def _header_to_term(value: BodyValue) -> Term:
-    """Result-header conversion: text parses as a term, falling back to a string."""
+    """Result-header conversion: text parses as a term, falling back to a string;
+    numbers and lists are lifted into the term space as they are."""
     if isinstance(value, str):
         try:
             return parse_term(value)
         except TermSyntaxError:
             return Str(value)
-    if isinstance(value, (int, float)):
-        return Number(float(value))
-    if isinstance(value, list):
-        try:
-            return parse_term(stringify(value))
-        except TermSyntaxError:
-            return Str(stringify(value))
+    if isinstance(value, (int, float, list)):
+        return body_to_term(value)
     raise UnparseableContentError(f"no term form for header value {value!r}")
 
 
@@ -398,10 +370,8 @@ def _effective_annotations(x: Exchange, cfg: AgentEndpointConfig) -> tuple[Term,
     if "annotations" in x.in_msg.headers:
         value = x.in_msg.headers["annotations"]
         if isinstance(value, list):
-            texts = [stringify(v) for v in value]
-        else:
-            texts = [p.strip() for p in split_outside_brackets(stringify(value)) if p.strip()]
-        return tuple(parse_term(t) for t in texts)
+            return tuple(parse_term(stringify(v)) for v in value)
+        return _parse_annotations(stringify(value))
     return cfg.annotations
 
 

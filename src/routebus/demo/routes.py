@@ -6,10 +6,10 @@ stays unambiguous across containers.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import time
 
-from ..expressions import body, constant, expr, header, stringify
+from ..expressions import body, body_to_term, constant, expr, header, stringify
 from ..routing import (
     CombineBodyAndHeader,
     IdempotentRepository,
@@ -21,10 +21,9 @@ from ..routing import (
     SetUnion,
 )
 from ..services import CoordService
+from ..terms import Compound, Str, parse_term, render_term
 
 logger = logging.getLogger(__name__)
-
-_resume_seq = itertools.count(1)
 
 
 def account_query_routes(rb: RouteBuilder, prefix: str) -> RouteBuilder:
@@ -63,6 +62,9 @@ def membership_routes(
     def node_to_name(x):
         x.in_msg.body = coord.get_data("/agents/" + stringify(x.in_msg.body))
 
+    def agents_percept(x):
+        x.in_msg.body = render_term(Compound("agents", (body_to_term(x.in_msg.body),)))
+
     return (
         rb.from_(
             f"coord://{coord_server}/agents?listChildren=true&repeat=true",
@@ -73,7 +75,7 @@ def membership_routes(
         .process(node_to_name, "node-to-name")
         .aggregate(header("numChildren"), ListAppend())
         .completion_size(header("numChildren"))
-        .set_body(expr("agents(${bodyAs(String)})"))
+        .process(agents_percept, "agents-percept")
         .to("agent:percept?persistent=true&updateMode=-+")
     )
 
@@ -86,39 +88,46 @@ def mail_routes(
     forward_completion_size: int = 2,
 ) -> RouteBuilder:
     """Poll mail, scatter a relevance request to the local agents, gather their
-    reply lists, and forward the mail to the union of nominated users."""
+    reply lists, and forward the mail to the union of nominated users.
+
+    The request and the replies are built and read as terms, so mail content
+    reaches the agents as string arguments whatever characters it holds."""
+
+    def check_relevance(x):
+        headers = x.in_msg.headers
+        fields = (headers["id"], headers["from"], headers["subject"], x.in_msg.body)
+        request = Compound("check_relevance", tuple(Str(stringify(f)) for f in fields))
+        x.in_msg.body = render_term(request)
+
+    def read_relevant(x):
+        # relevant(Id, [Email, ...]): the id correlates, the emails are the body.
+        reply_id, emails = parse_term(x.in_msg.body).args
+        x.in_msg.headers["id"] = reply_id.text
+        x.in_msg.body = [email.text for email in emails.elements]
+
     (
         rb.from_(
             f"mail:{account}?delete=true&copyTo=processed", route_id=f"{prefix}mail-poll"
         )
-        .set_header("id", expr('"${id}"'))
+        .set_header("id", expr("${id}"))
         .to("buffered:forward-message", "direct:ask-agents")
     )
     (
         rb.from_("direct:ask-agents", route_id=f"{prefix}ask-agents")
-        .set_body(
-            expr(
-                'check_relevance(${header.id},"${header.from}",'
-                '"${header.subject}","${bodyAs(String)}")'
-            )
-        )
+        .process(check_relevance, "check-relevance")
         .set_header("receiver", constant("all"))
         .set_header("sender", constant("router"))
         .to("agent:message?illoc_force=achieve")
     )
-    # The first capture group excludes commas so a multi-element reply list
-    # cannot bleed into the correlation id.
     (
         rb.from_(
-            r"agent:message?illoc_force=tell&receiver=router"
-            r"&match=relevant\(([^,]*),(.*)\)&replace=$1:$2",
+            "agent:message?illoc_force=tell&receiver=router",
             route_id=f"{prefix}collect-replies",
         )
-        .set_header("id", expr('${body.split(":")[0]}'))
-        .set_body(expr('${body.split(":")[1]}'))
+        .process(read_relevant, "read-relevant")
         .aggregate(header("id"), SetUnion())
         .completion_timeout(aggregate_timeout_ms)
-        .set_header("to", expr("${bodyAs(String)}"))
+        .set_header("to", body())
         .to("buffered:forward-message")
     )
     (
@@ -143,27 +152,20 @@ def topic_percept_routes(
 def lifecycle_routes(
     engine: RouteEngine, prefix: str, mail_route_id: str, resume_delay_ms: int
 ) -> RouteBuilder:
-    """Plan-change notifications suspend the mail poller and start a one-shot
-    timer route that resumes it after a fixed delay."""
+    """Plan-change notifications suspend the mail poller and schedule, on the
+    engine, its resume after a fixed delay."""
+
+    def resume():
+        try:
+            engine.controller(mail_route_id).resume()
+        except InvalidTransitionError:
+            logger.debug("route %s already resumed", mail_route_id)
 
     def on_plan_change(x):
         controller = engine.controller(mail_route_id)
         if controller.state is RouteState.STARTED:
             controller.suspend()
-        resume_id = f"{prefix}resume-timer-{next(_resume_seq)}"
-
-        def resume(_tick):
-            try:
-                engine.controller(mail_route_id).resume()
-            except InvalidTransitionError:
-                logger.debug("route %s already resumed", mail_route_id)
-            engine.controller(resume_id).stop()
-
-        timer_rb = RouteBuilder()
-        timer_rb.from_(f"timer:{resume_id}?delay={resume_delay_ms}", route_id=resume_id).process(
-            resume, "resume-mail-poll"
-        )
-        engine.add_routes(timer_rb)
+        engine.call_at(time.monotonic() + resume_delay_ms / 1000, resume)
 
     rb = RouteBuilder()
     rb.from_("broker:topic:plan-changes", route_id=f"{prefix}plan-suspend").process(

@@ -8,7 +8,7 @@ message bodies, action terms and percepts:
     args      := "(" term ("," term)* ")"
     annots    := "[" term ("," term)* "]"      only after a literal
     list      := "[" (term ("," term)*)? "]"
-    string    := '"' text '"'                  \\" escapes a quote, no other escapes
+    string    := '"' text '"'                  \\" escapes a quote, \\\\ a backslash
     variable  := [A-Z_][A-Za-z0-9_]*
     number    := "-"? digits ("." digits)?
 
@@ -227,7 +227,7 @@ def render_term(t: Term) -> str:
             return str(int(v))
         return repr(v)
     if isinstance(t, Str):
-        return '"' + t.text.replace('"', '\\"') + '"'
+        return '"' + t.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(t, Var):
         return t.name
     if isinstance(t, ListTerm):
@@ -329,11 +329,12 @@ class _Parser:
             if ch == "":
                 raise self.error("closing '\"'")
             if ch == "\\":
-                if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == '"':
-                    out.append('"')
+                escaped = self.text[self.pos + 1 : self.pos + 2]
+                if escaped in ('"', "\\"):
+                    out.append(escaped)
                     self.pos += 2
                     continue
-                raise self.error("'\\\"' (the only supported escape)")
+                raise self.error("'\\\"' or '\\\\'")
             if ch == '"':
                 self.pos += 1
                 return Str("".join(out))

@@ -78,6 +78,12 @@ def test_annotations_param_splits_outside_brackets():
     assert [render_term(t) for t in cfg.annotations] == ["src(a,b)", "urgent"]
 
 
+def test_annotations_param_keeps_escaped_quotes_inside_strings():
+    cfg = cfg_for(r'agent:message?annotations=note("x\"),y"),urgent', "consumer")
+    assert cfg.annotations == (parse_term(r'note("x\"),y")'), Atom("urgent"))
+    assert cfg.annotations[0].args[0].text == 'x"),y'
+
+
 # --- message consumer -----------------------------------------------------------
 
 

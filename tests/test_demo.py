@@ -7,7 +7,7 @@ import pytest
 
 from routebus import agent_endpoints
 from routebus.agents import AgentContainer
-from routebus.routing import RouteService
+from routebus.routing import RouteService, RouteState
 from routebus.services import MailStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
 from routebus.demo.config import (
@@ -181,6 +181,54 @@ def test_scenario_forwards_to_keyword_matches(fast_scenario, monkeypatch):
     assert any(text.startswith("check_relevance(") for text in seen)
     for text in seen:
         assert render_term(parse_term(text)) == text
+
+
+def open_buckets(scenario):
+    engine = scenario.engines["main"]
+    return sum(
+        len(state.buckets)
+        for service in engine._services.values()
+        for state in service._agg_states.values()
+    )
+
+
+def test_hostile_mail_content_is_forwarded_intact(fast_scenario):
+    # A quote in a subject and a backslash in a body reach the agents as string
+    # arguments of the relevance request, so both mails are forwarded as sent.
+    fast_scenario.config.mails = []
+    fast_scenario.start()
+    fast_scenario.inject_mail("x@corp", 'budget "final"', "see the draft")
+    fast_scenario.inject_mail("y@corp", "travel notes", "C:\\trips\\plan")
+    assert wait_for(lambda: len(fast_scenario.forward_events()) == 2)
+    details = sorted(detail for _, detail in fast_scenario.forward_events())
+    assert details == ['to=[a@x] subject=budget "final"', "to=[b@x] subject=travel notes"]
+    (quoted,) = fast_scenario.mail.folder("a@x", "inbox")
+    (escaped,) = fast_scenario.mail.folder("b@x", "inbox")
+    assert (quoted.subject, escaped.body) == ('budget "final"', "C:\\trips\\plan")
+    assert open_buckets(fast_scenario) == 0
+    assert fast_scenario.log.events(event="error") == []
+
+
+def test_plan_changes_add_no_routes(fast_scenario):
+    fast_scenario.config.resume_delay_ms = 100
+    fast_scenario.start()
+    engine = fast_scenario.engines["main"]
+    mail_route = fast_scenario.mail_route_id()
+    before = set(engine._services)
+    for _ in range(5):
+        fast_scenario.publish_plan_change("a@x")
+    assert wait_for(
+        lambda: len(fast_scenario.log.events(event="receive", route_id="main:plan-suspend")) == 5
+    )
+    assert wait_for(
+        lambda: any(
+            r.detail == "resumed"
+            for r in fast_scenario.log.events(event="lifecycle", route_id=mail_route)
+        )
+    )
+    time.sleep(0.3)  # every scheduled resume has run
+    assert set(engine._services) == before
+    assert engine.controller(mail_route).state is RouteState.STARTED
 
 
 def test_idle_scenario_does_no_work(monkeypatch):
