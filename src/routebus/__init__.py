@@ -17,9 +17,9 @@ from .routing import (
     ListAppend,
     CombineBodyAndHeader,
     RouteBuilder,
-    RouteController,
     RouteDefinition,
     RouteEngine,
+    RouteService,
     RouteState,
     SetUnion,
 )

@@ -117,8 +117,6 @@ class UpdateMode(Enum):
 @dataclass
 class PerceptEntry:
     literal: Literal
-    persistence: Persistence
-    update_mode: UpdateMode
     novel: bool = True
 
 
@@ -234,16 +232,14 @@ class AgentState:
         with self.lock:
             if mode is UpdateMode.REPLACE_SAME_FUNCTOR_ARITY:
                 self._remove_same_shape(literal)
-            entry = PerceptEntry(literal, persistence, mode)
             if persistence is Persistence.TRANSIENT:
-                self.transient.append(entry)
+                self.transient.append(PerceptEntry(literal))
             else:
                 # Persistent accumulation has set semantics: an identical
                 # literal is not stored twice.
-                rendered = render_term(literal)
-                if any(render_term(e.literal) == rendered for e in self.persistent):
+                if any(e.literal == literal for e in self.persistent):
                     return
-                self.persistent.append(entry)
+                self.persistent.append(PerceptEntry(literal))
         self.signal.set()
 
     def _remove_same_shape(self, literal: Literal) -> None:

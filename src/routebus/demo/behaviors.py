@@ -72,7 +72,7 @@ def allocation_view(agent: AgentState):
     return {name: list(emails) for name, emails in compute_allocation(agents, accounts).items()}
 
 
-def relevance_behaviors(tables: TableStore, users_table: str = "users") -> list[BehaviorRule]:
+def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
     def on_startup(agent, _payload):
         return [_fetch_accounts(), PerformAction(ActionTerm(Atom("register")), Async())]
 
@@ -97,7 +97,7 @@ def relevance_behaviors(tables: TableStore, users_table: str = "users") -> list[
             t.text if isinstance(t, Str) else render_term(t) for t in (subject, body)
         ).lower()
         interests = {
-            row["email"]: row.get("interests", "") for row in tables.rows(users_table)
+            row["email"]: row.get("interests", "") for row in tables.rows("users")
         }
         matched = []
         for email in assigned_accounts(agent):

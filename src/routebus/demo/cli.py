@@ -10,7 +10,6 @@ prints an event-log file.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -26,11 +25,8 @@ def _load_config(args) -> ScenarioConfig:
         config = ScenarioConfig.default()
     if getattr(args, "duration_ms", None):
         config.duration_ms = args.duration_ms
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        random.seed(args.seed)
     if getattr(args, "enable_bridge", False):
-        config.enable_bridge = True
+        config.route_sets.add("inter_container")
     return config
 
 
@@ -93,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="scenario config file (built-in default when omitted)")
     run_p.add_argument("--duration-ms", type=int, dest="duration_ms", help="hard stop after N ms")
     run_p.add_argument("--log", help="write the event log to this path")
-    run_p.add_argument("--seed", type=int, help="seed for deterministic tie-breaks")
     run_p.add_argument("--enable-bridge", action="store_true", dest="enable_bridge")
     run_p.set_defaults(fn=cmd_run)
 

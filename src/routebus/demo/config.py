@@ -29,7 +29,6 @@ KNOWN_ROUTE_SETS = {"use_case", "inter_container"}
 class AgentSpec:
     local_name: str
     behavior_set: str = "relevance"
-    params: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -54,13 +53,9 @@ class ScenarioConfig:
     mail_account: str = "to.share"
     route_sets: set[str] = field(default_factory=lambda: {"use_case"})
     aggregate_timeout_ms: int = 2000
-    forward_completion_size: int = 2
     resume_delay_ms: int = 500
     designated_poller: Optional[str] = None
     duration_ms: Optional[int] = None
-    seed: Optional[int] = None
-    enable_bridge: bool = False
-    users_file: Optional[Path] = None
     mail_file: Optional[Path] = None
 
     def __post_init__(self):
@@ -116,10 +111,9 @@ class ScenarioConfig:
                 if not line:
                     continue
                 parts = line.split()
-                params = dict(p.split("=", 1) for p in parts[2:])
-                agents.append(
-                    AgentSpec(parts[0], parts[1] if len(parts) > 1 else "relevance", params)
-                )
+                if len(parts) > 2:
+                    raise ConfigError(f"{path}: agent line {line!r} is not NAME [BEHAVIOR_SET]")
+                agents.append(AgentSpec(*parts))
             containers.append(
                 ContainerSpec(name, parser.get(section, "id_mode", fallback="static"), agents)
             )
@@ -127,12 +121,11 @@ class ScenarioConfig:
             raise ConfigError(f"{path}: no [container:NAME] sections")
 
         scenario = parser["scenario"] if parser.has_section("scenario") else {}
-        users_file = mail_file = None
+        mail_file = None
         users: list[dict[str, str]] = []
         mails: list[dict[str, str]] = []
         if parser.has_section("users") and parser.get("users", "file", fallback=None):
-            users_file = base / parser.get("users", "file")
-            users = load_records(users_file)
+            users = load_records(base / parser.get("users", "file"))
         if parser.has_section("mail") and parser.get("mail", "file", fallback=None):
             mail_file = base / parser.get("mail", "file")
             if mail_file.exists():
@@ -150,10 +143,8 @@ class ScenarioConfig:
             mail_account=str(scenario.get("mail_account", "to.share")),
             route_sets=route_sets,
             aggregate_timeout_ms=int(scenario.get("aggregate_timeout_ms", 2000)),
-            forward_completion_size=int(scenario.get("forward_completion_size", 2)),
             resume_delay_ms=int(scenario.get("resume_delay_ms", 500)),
             designated_poller=scenario.get("designated_poller") or None,
-            users_file=users_file,
             mail_file=mail_file,
         )
 

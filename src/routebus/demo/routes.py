@@ -81,11 +81,7 @@ def membership_routes(
 
 
 def mail_routes(
-    rb: RouteBuilder,
-    prefix: str,
-    account: str,
-    aggregate_timeout_ms: int,
-    forward_completion_size: int = 2,
+    rb: RouteBuilder, prefix: str, account: str, aggregate_timeout_ms: int
 ) -> RouteBuilder:
     """Poll mail, scatter a relevance request to the local agents, gather their
     reply lists, and forward the mail to the union of nominated users.
@@ -132,8 +128,9 @@ def mail_routes(
     )
     (
         rb.from_("buffered:forward-message", route_id=f"{prefix}forward")
+        # The mail itself and its one recipient list.
         .aggregate(header("id"), CombineBodyAndHeader("to"))
-        .completion_size(forward_completion_size)
+        .completion_size(2)
         .set_header("from", constant("to.share@bigcorp.com"))
         .to(f"mailto:{account}")
     )
@@ -162,9 +159,9 @@ def lifecycle_routes(
             logger.debug("route %s already resumed", mail_route_id)
 
     def on_plan_change(x):
-        controller = engine.controller(mail_route_id)
-        if controller.state is RouteState.STARTED:
-            controller.suspend()
+        route = engine.controller(mail_route_id)
+        if route.state is RouteState.STARTED:
+            route.suspend()
         engine.call_at(time.monotonic() + resume_delay_ms / 1000, resume)
 
     rb = RouteBuilder()

@@ -72,7 +72,7 @@ class Scenario:
         self.mail.add_account(self.config.mail_account)
 
         use_case = "use_case" in self.config.route_sets
-        bridge = self.config.enable_bridge or "inter_container" in self.config.route_sets
+        bridge = "inter_container" in self.config.route_sets
 
         for spec in self.config.containers:
             container = AgentContainer(
@@ -93,10 +93,7 @@ class Scenario:
                 factory = BEHAVIOR_SETS.get(agent_spec.behavior_set)
                 if factory is None:
                     raise ConfigError(f"unknown behavior set {agent_spec.behavior_set!r}")
-                behaviors = factory(
-                    self.tables, agent_spec.params.get("users_table", "users")
-                )
-                container.add_agent(agent_spec.local_name, behaviors)
+                container.add_agent(agent_spec.local_name, factory(self.tables))
             prefix = f"{container.container_id}:"
             rb = RouteBuilder()
             if use_case:
@@ -150,11 +147,7 @@ class Scenario:
         prefix = f"{container.container_id}:"
         rb = RouteBuilder()
         route_sets.mail_routes(
-            rb,
-            prefix,
-            self.config.mail_account,
-            self.config.aggregate_timeout_ms,
-            self.config.forward_completion_size,
+            rb, prefix, self.config.mail_account, self.config.aggregate_timeout_ms
         )
         engine.add_routes(rb)
         engine.add_routes(
@@ -214,11 +207,16 @@ class Scenario:
         quiet_window = 3 * self.config.aggregate_timeout_ms / 1000.0
         deadline = time.monotonic() + duration_ms / 1000.0 if duration_ms else None
         while True:
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 return "duration"
-            if time.monotonic() - self.log.last_activity >= quiet_window:
+            quiet_until = self.log.last_activity + quiet_window
+            if now >= quiet_until:
                 return "quiescent"
-            time.sleep(0.05)
+            # Nothing can end the wait before the earlier of the two; an event
+            # in the meantime only moves the quiet window's end later.
+            wake = quiet_until if deadline is None else min(quiet_until, deadline)
+            time.sleep(wake - now)
 
     def forward_events(self) -> list[tuple[str, str]]:
         return [(r.route_id, r.detail) for r in self.log.events(event="forward")]

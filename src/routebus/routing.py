@@ -8,8 +8,11 @@ Execution model: every started route owns one worker context that blocks on
 its consumer endpoint until a delivery or a state change wakes it, and runs
 the pipeline to completion, one exchange in flight per route.  ``direct:``
 producers run the target route's pipeline inline on the caller's context;
-``buffered:`` producers enqueue a copy and return.  A timed aggregation bucket
-is flushed at its deadline by the engine's scheduler (``RouteEngine.call_at``).
+``buffered:`` producers enqueue a copy and return.  Each aggregate step has one
+bucket state, made with the route.  A timed aggregation bucket is flushed at
+its deadline by the engine's scheduler (``RouteEngine.call_at``), and the
+merged exchange continues at the step after that aggregate, as a completed
+bucket does.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ __all__ = [
     "IdempotentRepository",
     "RouteDefinition",
     "RouteBuilder",
-    "RouteController",
+    "RouteService",
     "RouteState",
     "RouteEngine",
     "EventLog",
@@ -586,14 +589,8 @@ class AggregateState:
     """Correlation buckets for one aggregate step of one route, in opening
     order; ``schedule`` gets the deadline of each new timed bucket."""
 
-    def __init__(
-        self,
-        step: Aggregate,
-        tail: tuple[Processor, ...],
-        schedule: Callable[[float], None] = lambda when: None,
-    ):
+    def __init__(self, step: Aggregate, schedule: Callable[[float], None] = lambda when: None):
         self.step = step
-        self.tail = tail
         self.schedule = schedule
         self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
         self.lock = threading.Lock()
@@ -633,7 +630,7 @@ class AggregateState:
         return merged
 
 
-# --- route service and controller ----------------------------------------------------
+# --- route service ----------------------------------------------------------------
 
 
 class RouteState(Enum):
@@ -649,7 +646,15 @@ class RouteService:
         self.state = RouteState.STOPPED
         self._consumer: Optional[Consumer] = None
         self._producers: dict[str, Producer] = {}
-        self._agg_states: dict[int, AggregateState] = {}
+        # One state per aggregate step, keyed by the step's index in the
+        # route; a timed bucket's deadline flushes its own state only.
+        self._agg_states: dict[int, AggregateState] = {
+            i: AggregateState(
+                step, lambda when, i=i: engine.call_at(when, lambda: self._flush_expired(i))
+            )
+            for i, step in enumerate(definition.steps)
+            if isinstance(step, Aggregate)
+        }
         self._exec_lock = threading.RLock()
         self._state_changed = threading.Condition()
         # Counts lifecycle transitions, so a parked worker can tell one happened.
@@ -753,32 +758,36 @@ class RouteService:
                 self.process(delivery.exchange, delivery.reply)
 
     def process(self, exchange: Exchange, reply: Optional[Future] = None) -> None:
-        with self._exec_lock:
-            self.engine.log.emit(self.route_id, "receive", exchange.id)
-            try:
-                final = self._run(exchange, self.definition.steps, 0)
-                if final.pattern is ExchangePattern.IN_OUT:
-                    final.out_msg = final.in_msg.copy()
-                if reply is not None:
-                    reply.set_result(final)
-            except Exception as exc:
-                logger.exception("route %s: exchange %s failed", self.route_id, exchange.id)
-                self.engine.log.emit(self.route_id, "error", exchange.id, detail=repr(exc))
-                if reply is not None:
-                    reply.set_exception(exc)
+        try:
+            final = self._receive(exchange)
+            if reply is not None:
+                reply.set_result(final)
+        except Exception as exc:
+            self._log_failure(exchange, exc)
+            if reply is not None:
+                reply.set_exception(exc)
 
     def process_inline(self, exchange: Exchange) -> None:
         """Run the pipeline on the caller's context (``direct:`` semantics)."""
         if self.state is not RouteState.STARTED:
             raise EndpointInitError(f"direct target {self.route_id} is {self.state.value}")
+        self._receive(exchange)
+
+    def _receive(self, exchange: Exchange) -> Exchange:
         with self._exec_lock:
             self.engine.log.emit(self.route_id, "receive", exchange.id)
-            final = self._run(exchange, self.definition.steps, 0)
+            final = self._run(exchange, 0)
             if final.pattern is ExchangePattern.IN_OUT:
                 final.out_msg = final.in_msg.copy()
+            return final
 
-    def _run(self, x: Exchange, steps: tuple[Processor, ...], start: int) -> Exchange:
-        i = start
+    def _log_failure(self, x: Exchange, exc: Exception) -> None:
+        logger.exception("route %s: exchange %s failed", self.route_id, x.id)
+        self.engine.log.emit(self.route_id, "error", x.id, detail=repr(exc))
+
+    def _run(self, x: Exchange, i: int) -> Exchange:
+        """Run the route's steps on ``x`` from index ``i`` to the end."""
+        steps = self.definition.steps
         while i < len(steps):
             step = steps[i]
             if isinstance(step, SetHeader):
@@ -795,7 +804,7 @@ class RouteService:
                 self._dispatch(step, x)
             elif isinstance(step, Split):
                 for child in split_exchange(x, step.expr):
-                    self._run(child, steps, i + 1)
+                    self._run(child, i + 1)
                 return x
             elif isinstance(step, IdempotentConsumer):
                 key = stringify(eval_expr(step.key, x))
@@ -805,12 +814,11 @@ class RouteService:
                 if step.eager:
                     step.repo.add(key)
                 else:
-                    out = self._run(x, steps, i + 1)
+                    out = self._run(x, i + 1)
                     step.repo.add(key)
                     return out
             elif isinstance(step, Aggregate):
-                state = self._agg_state(i, steps)
-                merged = state.offer(x)
+                merged = self._agg_states[i].offer(x)
                 if merged is None:
                     return x
                 x = merged
@@ -842,56 +850,17 @@ class RouteService:
         self.engine.log.emit(self.route_id, "send", x.id, detail=uri)
         producer.process(x)
 
-    def _agg_state(self, index: int, steps: tuple[Processor, ...]) -> AggregateState:
-        state = self._agg_states.get(index)
-        if state is None:
-            state = AggregateState(
-                steps[index],  # type: ignore[arg-type]
-                steps[index + 1 :],
-                lambda when: self.engine.call_at(when, self._flush_expired),
-            )
-            self._agg_states[index] = state
-        return state
-
-    def _flush_expired(self) -> None:
+    def _flush_expired(self, index: int) -> None:
+        """Send the expired buckets of the aggregate at ``index`` down the
+        rest of the route."""
         if self.state is RouteState.STOPPED:
             return
-        for state in list(self._agg_states.values()):
-            for merged in state.flush_expired():
-                with self._exec_lock:
-                    try:
-                        self._run(merged, state.tail, 0)
-                    except Exception as exc:
-                        logger.exception(
-                            "route %s: timeout flush failed", self.route_id
-                        )
-                        self.engine.log.emit(
-                            self.route_id, "error", merged.id, detail=repr(exc)
-                        )
-
-
-class RouteController:
-    """Lifecycle handle for one route."""
-
-    def __init__(self, service: RouteService):
-        self._service = service
-
-    @property
-    def route_id(self) -> str:
-        return self._service.route_id
-
-    @property
-    def state(self) -> RouteState:
-        return self._service.state
-
-    def suspend(self) -> None:
-        self._service.suspend()
-
-    def resume(self) -> None:
-        self._service.resume()
-
-    def stop(self) -> None:
-        self._service.stop()
+        for merged in self._agg_states[index].flush_expired():
+            with self._exec_lock:
+                try:
+                    self._run(merged, index + 1)
+                except Exception as exc:
+                    self._log_failure(merged, exc)
 
 
 # --- engine -----------------------------------------------------------------------
@@ -928,25 +897,25 @@ class RouteEngine:
             raise UnknownSchemeError(scheme)
         return comp
 
-    def add_routes(self, builder: RouteBuilder, start: bool = True) -> list[RouteController]:
+    def add_routes(self, builder: RouteBuilder, start: bool = True) -> list[RouteService]:
         return [self.run_route(d) if start else self.add_route(d) for d in builder.definitions()]
 
-    def add_route(self, definition: RouteDefinition) -> RouteController:
+    def add_route(self, definition: RouteDefinition) -> RouteService:
         with self._lock:
             if definition.route_id in self._services:
                 raise RouteConfigError(f"duplicate route id {definition.route_id!r}")
             service = RouteService(self, definition)
             self._services[definition.route_id] = service
-        return RouteController(service)
+        return service
 
-    def run_route(self, definition: RouteDefinition) -> RouteController:
-        controller = self.add_route(definition)
+    def run_route(self, definition: RouteDefinition) -> RouteService:
+        service = self.add_route(definition)
         self._ensure_ticker()
-        self._services[definition.route_id].start()
-        return controller
+        service.start()
+        return service
 
-    def controller(self, route_id: str) -> RouteController:
-        return RouteController(self._services[route_id])
+    def controller(self, route_id: str) -> RouteService:
+        return self._services[route_id]
 
     def start(self) -> None:
         self._ensure_ticker()

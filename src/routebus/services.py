@@ -29,7 +29,7 @@ from .expressions import stringify
 from .messages import EndpointUri, Exchange, ExchangePattern, RowSet, new_exchange
 from .routing import Channel, Component, Consumer, Delivery, EventLog, Producer, RouteEngine
 from .routing import _ChannelConsumer
-from .terms import Compound, ListTerm, Str, TermSyntaxError, parse_term, render_term
+from .terms import Compound, ListTerm, Str, parse_term, render_term
 
 logger = logging.getLogger(__name__)
 
@@ -545,10 +545,8 @@ def _recipients_from_header(value) -> list[str]:
     if not text:
         return []
     if text.startswith("["):
-        try:
-            term = parse_term(text)
-        except TermSyntaxError:
-            return [p.strip() for p in text.split(",") if p.strip()]
+        # List text that does not parse is an error, never a comma split.
+        term = parse_term(text)
         if isinstance(term, ListTerm):
             return [el.text if isinstance(el, Str) else render_term(el) for el in term.elements]
     return [p.strip() for p in text.split(",") if p.strip()]
@@ -679,15 +677,6 @@ class TableStore:
             self._broker.send_topic(
                 notify.topic, new_exchange(ExchangePattern.IN_ONLY, render_term(descriptor))
             )
-
-    def update_row(self, table_name: str, key_column: str, key: str, changes: dict[str, str]) -> None:
-        with self._lock:
-            table = self._tables.get(table_name)
-            if table is None:
-                raise UnknownTableError(table_name)
-            for row in table.rows:
-                if row.get(key_column) == key:
-                    row.update(changes)
 
 
 class _TableProducer(Producer):

@@ -539,7 +539,7 @@ def test_criterion_6_eip_properties():
         x = new_exchange(ExchangePattern.IN_ONLY, list(items), {"k": "const"})
         children = split_exchange(x, body())
         state = AggregateState(
-            Aggregate(header("k"), ListAppend(), completion_size=len(items)), ()
+            Aggregate(header("k"), ListAppend(), completion_size=len(items))
         )
         merged = None
         for child in children:
@@ -554,7 +554,7 @@ def test_criterion_6_eip_properties():
         shuffled = replies[:]
         rng.shuffle(shuffled)
         state = AggregateState(
-            Aggregate(header("id"), SetUnion(), completion_size=len(shuffled)), ()
+            Aggregate(header("id"), SetUnion(), completion_size=len(shuffled))
         )
         merged = None
         for reply in shuffled:

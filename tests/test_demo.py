@@ -19,7 +19,7 @@ from routebus.demo.config import (
     load_records,
 )
 from routebus.demo.runner import Scenario
-from routebus.demo import cli
+from routebus.demo import cli, runner
 from routebus.terms import parse_term, render_term
 
 
@@ -141,6 +141,16 @@ def test_load_config_file(tmp_path):
     assert config.aggregate_timeout_ms == 400
     assert config.users[0]["email"] == "a@x"
     assert config.mails[0]["subject"] == "budget plan"
+
+
+def test_agent_line_with_extra_token_is_a_config_error(tmp_path):
+    cfg = write_config(tmp_path)
+    cfg.write_text(
+        cfg.read_text(encoding="utf-8").replace("alice relevance", "alice relevance extra"),
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="alice relevance extra"):
+        ScenarioConfig.load(cfg)
 
 
 # --- scenario ------------------------------------------------------------------
@@ -302,6 +312,33 @@ def test_zero_agent_scenario_clean(fast_scenario_config=None):
         assert reason in ("quiescent", "duration")
     finally:
         scenario.stop()
+
+
+def test_wait_quiescent_sleeps_until_the_wait_can_end(monkeypatch):
+    # Each sleep lasts until the quiet window's end or the duration cap,
+    # whichever is earlier, instead of re-checking every few milliseconds.
+    config = ScenarioConfig.default()
+    config.aggregate_timeout_ms = 300
+    scenario = Scenario(config)
+    sleeps = []
+    real_sleep = time.sleep
+
+    def counting_sleep(seconds):
+        sleeps.append(seconds)
+        real_sleep(seconds)
+
+    scenario.start()
+    try:
+        monkeypatch.setattr(runner.time, "sleep", counting_sleep)
+        assert scenario.wait_quiescent(duration_ms=100) == "duration"
+        assert len(sleeps) == 1
+        sleeps.clear()
+        assert scenario.wait_quiescent() == "quiescent"
+        assert len(sleeps) <= 3
+    finally:
+        monkeypatch.undo()
+        scenario.stop()
+    assert len(scenario.forward_events()) == 1
 
 
 def test_bridge_scenario_delivers_across_containers():

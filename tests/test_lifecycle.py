@@ -216,7 +216,7 @@ def test_scheduled_call_that_raises_does_not_stop_the_scheduler(engine):
 def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired():
     scheduled = []
     step = Aggregate(header("k"), ListAppend(), completion_timeout_ms=100)
-    state = AggregateState(step, (), scheduled.append)
+    state = AggregateState(step, scheduled.append)
     state.offer(new_exchange(body="a", headers={"k": "1"}))
     state.offer(new_exchange(body="b", headers={"k": "1"}))
     assert len(scheduled) == 1  # one deadline per opened bucket

@@ -1,4 +1,5 @@
 import time
+from queue import Empty
 
 import pytest
 
@@ -146,7 +147,7 @@ def test_split_rowset_yields_single_row_children():
 
 def test_aggregate_size_list_append():
     step = Aggregate(header("k"), ListAppend(), completion_size=3)
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     out = []
     for item in ("a", "b", "c"):
         merged = state.offer(new_exchange(body=item, headers={"k": "x"}))
@@ -158,7 +159,7 @@ def test_aggregate_size_list_append():
 
 def test_aggregate_size_one_is_pass_through():
     step = Aggregate(header("k"), ListAppend(), completion_size=1)
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     merged = state.offer(new_exchange(body="only", headers={"k": "x"}))
     assert merged is not None
     assert merged.in_msg.body == ["only"]
@@ -166,7 +167,7 @@ def test_aggregate_size_one_is_pass_through():
 
 def test_aggregate_dynamic_size_from_header():
     step = Aggregate(header("n"), ListAppend(), completion_size=header("n"))
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     assert state.offer(new_exchange(body="a", headers={"n": 2})) is None
     merged = state.offer(new_exchange(body="b", headers={"n": 2}))
     assert merged is not None
@@ -182,7 +183,7 @@ def test_aggregate_needs_exactly_one_completion():
 
 def test_set_union_merges_reply_lists():
     step = Aggregate(header("id"), SetUnion(), completion_size=2)
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     state.offer(new_exchange(body='["u1@x"]', headers={"id": "1"}))
     merged = state.offer(new_exchange(body='["u1@x","u2@x"]', headers={"id": "1"}))
     assert merged is not None
@@ -199,7 +200,7 @@ def test_set_union_permutation_invariant():
         shuffled = replies[:]
         rng.shuffle(shuffled)
         step = Aggregate(header("id"), SetUnion(), completion_size=len(shuffled))
-        state = AggregateState(step, ())
+        state = AggregateState(step)
         merged = None
         for r in shuffled:
             merged = state.offer(new_exchange(body=r, headers={"id": "1"})) or merged
@@ -209,7 +210,7 @@ def test_set_union_permutation_invariant():
 
 def test_combine_body_and_header():
     step = Aggregate(header("id"), CombineBodyAndHeader("to"), completion_size=2)
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     mail = new_exchange(body="mail text", headers={"id": "1", "subject": "s"})
     summary = new_exchange(body='["u1@x"]', headers={"id": "1", "to": '["u1@x"]'})
     assert state.offer(mail) is None
@@ -222,7 +223,7 @@ def test_combine_body_and_header():
 
 def test_combine_body_and_header_order_insensitive():
     step = Aggregate(header("id"), CombineBodyAndHeader("to"), completion_size=2)
-    state = AggregateState(step, ())
+    state = AggregateState(step)
     summary = new_exchange(body='["u1@x"]', headers={"id": "1", "to": '["u1@x"]'})
     mail = new_exchange(body="mail text", headers={"id": "1"})
     state.offer(summary)
@@ -247,6 +248,28 @@ def test_aggregate_timeout_flush_in_route(engine):
     waited = time.monotonic() - t0
     assert out.in_msg.body == ["u1@x", "u2@x"]
     assert waited >= 0.04  # flushed at the bucket's deadline, not inline
+
+
+def test_timed_flush_continues_at_the_next_aggregate(engine):
+    # The flushed bucket resumes at the step after its own aggregate, so a
+    # second aggregate completes it instead of handing it back to the first.
+    rb = RouteBuilder()
+    (
+        rb.from_("direct:chain", route_id="chain")
+        .aggregate(header("id"), ListAppend())
+        .completion_timeout(100)
+        .aggregate(header("id"), ListAppend())
+        .completion_size(1)
+        .to("buffered:out")
+    )
+    (route,) = engine.add_routes(rb)
+    for i in range(2):
+        engine.send("direct:chain", new_exchange(body=str(i), headers={"id": "k"}))
+    out = engine._buffer("out").get(timeout=2)
+    assert out.in_msg.body == [["0", "1"]]
+    with pytest.raises(Empty):
+        engine._buffer("out").get(timeout=0.3)
+    assert all(not state.buckets for state in route._agg_states.values())
 
 
 def test_split_then_aggregate_identity_route(engine):

@@ -5,6 +5,7 @@ import pytest
 
 from routebus.messages import ExchangePattern, new_exchange
 from routebus.routing import RouteBuilder, RouteEngine
+from routebus.terms import TermSyntaxError
 from routebus.services import (
     BrokerComponent,
     BrokerService,
@@ -312,6 +313,18 @@ def test_mail_producer_missing_recipients(engine):
     engine.add_routes(rb)
     with pytest.raises(MissingRecipientsError):
         engine._direct["send"].process_inline(new_exchange(body="x", headers={"to": "[]"}))
+
+
+def test_mail_producer_rejects_list_text_that_does_not_parse(engine):
+    store = MailStore()
+    engine.add_component("mailto", MailtoComponent(store))
+    rb = RouteBuilder()
+    rb.from_("direct:send", route_id="send").to("mailto:to.share")
+    engine.add_routes(rb)
+    with pytest.raises(TermSyntaxError):
+        engine._direct["send"].process_inline(new_exchange(body="x", headers={"to": '["a@x",'}))
+    assert store.accounts() == []
+    assert not engine.log.events(event="forward")
 
 
 # --- tables ------------------------------------------------------------------------
