@@ -20,7 +20,6 @@ from .agents import (
     AgentContainer,
     AgentId,
     AgentMessage,
-    Async,
     ActionMode,
     BROADCAST,
     Persistence,
@@ -115,28 +114,9 @@ def _parse_annotations(text: str) -> tuple[Term, ...]:
     return parse_term("[" + text + "]").elements
 
 
-def _expand_groups(template: str, match: "re.Match[str]") -> str:
-    """Substitute ``$n`` with captured groups; ``$$`` is a literal dollar."""
-    out: list[str] = []
-    i = 0
-    while i < len(template):
-        ch = template[i]
-        if ch == "$" and i + 1 < len(template):
-            nxt = template[i + 1]
-            if nxt == "$":
-                out.append("$")
-                i += 2
-                continue
-            if nxt.isdigit():
-                j = i + 1
-                while j < len(template) and template[j].isdigit():
-                    j += 1
-                out.append(match.group(int(template[i + 1 : j])) or "")
-                i = j
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+# ``$n`` is group ``n`` (digits read greedily) and ``$$`` a dollar; any other
+# ``$`` in a replace template is literal.
+_GROUP_REF = re.compile(r"\$(\$|\d+)")
 
 
 @dataclass(frozen=True)
@@ -156,14 +136,9 @@ class AgentEndpointConfig:
     exchange_pattern: Optional[ExchangePattern] = None
 
     def __post_init__(self):
+        # Which kind takes which parameter is checked by ``from_uri``.
         if self.replace is not None and self.match is None:
             raise EndpointConfigError("replace requires match")
-        if self.result_header_map and self.kind is not EndpointKind.ACTION_CONSUMER:
-            raise EndpointConfigError("resultHeaderMap applies to action consumers only")
-        if (self.persistent is not None or self.update_mode is not None) and (
-            self.kind is not EndpointKind.PERCEPT_PRODUCER
-        ):
-            raise EndpointConfigError("persistent/updateMode apply to percept producers only")
         if self.match is not None:
             try:
                 object.__setattr__(self, "_pattern", re.compile(self.match))
@@ -171,6 +146,13 @@ class AgentEndpointConfig:
                 raise InvalidRegexError(f"bad match pattern {self.match!r}: {exc}") from exc
         else:
             object.__setattr__(self, "_pattern", None)
+        if self.replace is not None:
+            refs = [int(ref) for ref in _GROUP_REF.findall(self.replace) if ref != "$"]
+            highest = max(refs, default=0)
+            if highest > self.pattern.groups:
+                raise EndpointConfigError(
+                    f"replace names group {highest}; match has {self.pattern.groups} groups"
+                )
 
     @property
     def pattern(self) -> Optional["re.Pattern[str]"]:
@@ -256,7 +238,9 @@ def _match_and_replace(cfg: AgentEndpointConfig, rendered: str) -> Optional[str]
         return None
     if cfg.replace is None:
         return rendered
-    return _expand_groups(cfg.replace, m)
+    return _GROUP_REF.sub(
+        lambda ref: "$" if ref[1] == "$" else (m[int(ref[1])] or ""), cfg.replace
+    )
 
 
 # --- consumer operations -------------------------------------------------------
@@ -487,32 +471,20 @@ class _AgentConsumer(_ChannelConsumer):
         self.channel.put(Delivery(exchange, reply))
         return exchange
 
-    def would_match(self, actor: AgentId, term: ActionTerm) -> bool:
-        try:
-            return consume_agent_action(self.cfg, actor, term, Async()) is not None
-        except EndpointConfigError:
-            return False
-
     def complete(self, reply: Exchange, term: ActionTerm) -> ActionTerm:
         return complete_sync_action(self.cfg, reply, term)
 
 
-class _AgentMessageProducer(Producer):
+class _AgentProducer(Producer):
     def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig):
         self.container = container
         self.cfg = cfg
 
     def process(self, exchange: Exchange) -> None:
-        produce_agent_message(self.container, self.cfg, exchange)
-
-
-class _AgentPerceptProducer(Producer):
-    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig):
-        self.container = container
-        self.cfg = cfg
-
-    def process(self, exchange: Exchange) -> None:
-        produce_percept(self.container, self.cfg, exchange)
+        if self.cfg.kind is EndpointKind.MESSAGE_PRODUCER:
+            produce_agent_message(self.container, self.cfg, exchange)
+        else:
+            produce_percept(self.container, self.cfg, exchange)
 
 
 class AgentComponent(Component):
@@ -527,6 +499,4 @@ class AgentComponent(Component):
 
     def create_producer(self, uri: EndpointUri, engine: RouteEngine, route_id: str) -> Producer:
         cfg = AgentEndpointConfig.from_uri(uri, "producer")
-        if cfg.kind is EndpointKind.MESSAGE_PRODUCER:
-            return _AgentMessageProducer(self.container, cfg)
-        return _AgentPerceptProducer(self.container, cfg)
+        return _AgentProducer(self.container, cfg)

@@ -52,7 +52,6 @@ __all__ = [
     "ActionMode",
     "Sync",
     "Async",
-    "DeliveryOutcome",
     "UnknownAgentError",
     "NoMatchingEndpointError",
     "ActionTimeoutError",
@@ -198,11 +197,6 @@ class BehaviorRule:
     name: str = "rule"
 
 
-class DeliveryOutcome(Enum):
-    DELIVERED = "Delivered"
-    TO_ROUTES = "ToRoutes"
-
-
 class AgentState:
     """Per-agent queues plus a memory dict for the behaviour hooks."""
 
@@ -266,6 +260,20 @@ class AgentState:
             return [e.literal for e in self.persistent]
 
 
+def _triggers(trigger: Trigger, event: Union[Literal, AgentMessage]) -> bool:
+    if isinstance(event, AgentMessage):
+        return (
+            isinstance(trigger, OnMessage)
+            and event.illoc_force == trigger.illoc_force
+            and functor_of(event.content) == trigger.functor
+        )
+    return (
+        isinstance(trigger, OnPercept)
+        and functor_of(event) == trigger.functor
+        and len(args_of(event)) == trigger.arity
+    )
+
+
 class AgentContainer:
     """A process-local group of agents sharing one container id.
 
@@ -281,7 +289,6 @@ class AgentContainer:
         container_id: Optional[str] = None,
         coord=None,
         dynamic_id: bool = False,
-        direct_delivery: bool = True,
         log: Optional[EventLog] = None,
     ):
         self.coord = coord
@@ -300,7 +307,6 @@ class AgentContainer:
             self.container_id = container_id
             if coord is not None:
                 self.session = coord.create_session()
-        self.direct_delivery = direct_delivery
         self.log = log or EventLog()
         self.agents: dict[str, AgentState] = {}
         self._message_bindings: list = []
@@ -361,8 +367,11 @@ class AgentContainer:
     def run_cycle(self, agent: AgentState) -> list[AgentEffect]:
         """One cycle: startup (first time), then drain queues and fire rules.
 
-        The collected effects are executed before returning; hook errors are
-        logged and skip only the offending rule.
+        The drained percepts, then the drained messages, are taken in arrival
+        order, and each fires its matching rules in rule order, so a hook sees
+        what the hooks of earlier events stored.  The collected effects are
+        executed before returning; hook errors are logged and skip only the
+        offending rule.
         """
         effects: list[AgentEffect] = []
         if not agent.started:
@@ -372,16 +381,10 @@ class AgentContainer:
                     effects.extend(self._fire(agent, rule, None))
         transients, novel_persistents, messages = agent.drain_for_cycle()
         percepts = [e.literal for e in transients] + [e.literal for e in novel_persistents]
-        for rule in agent.behaviors:
-            trig = rule.trigger
-            if isinstance(trig, OnPercept):
-                for lit in percepts:
-                    if functor_of(lit) == trig.functor and len(args_of(lit)) == trig.arity:
-                        effects.extend(self._fire(agent, rule, lit))
-            elif isinstance(trig, OnMessage):
-                for msg in messages:
-                    if msg.illoc_force == trig.illoc_force and functor_of(msg.content) == trig.functor:
-                        effects.extend(self._fire(agent, rule, msg))
+        for event in [*percepts, *messages]:
+            for rule in agent.behaviors:
+                if _triggers(rule.trigger, event):
+                    effects.extend(self._fire(agent, rule, event))
         self._execute(agent, effects)
         return effects
 
@@ -429,11 +432,13 @@ class AgentContainer:
 
     # -- message routing --
 
-    def route_local_message(self, msg: AgentMessage) -> DeliveryOutcome:
-        """Deliver locally when direct delivery applies, else hand to routes."""
-        if self.direct_delivery and (msg.receiver == BROADCAST or msg.receiver in self.agents):
+    def route_local_message(self, msg: AgentMessage) -> None:
+        """A broadcast or a message to a local agent goes to local inboxes;
+        any other is offered to the message bindings, a deadletter when none
+        accepts it."""
+        if msg.receiver == BROADCAST or msg.receiver in self.agents:
             self.deliver_local(msg)
-            return DeliveryOutcome.DELIVERED
+            return
         matched = False
         with self._bindings_lock:
             bindings = list(self._message_bindings)
@@ -446,7 +451,6 @@ class AgentContainer:
                 "deadletter",
                 detail=f"unroutable message to {msg.receiver}: {render_term(msg.content)}",
             )
-        return DeliveryOutcome.TO_ROUTES
 
     def deliver_local(self, msg: AgentMessage) -> None:
         """Put a route-produced message into local inboxes (broadcast allowed)."""
@@ -511,8 +515,9 @@ class AgentContainer:
 
         Asynchronous actions must be ground; they are offered to every
         matching endpoint and succeed immediately.  Synchronous actions go to
-        the first matching endpoint as a request/reply exchange; the reply's
-        mapped headers are bound onto the term's variables.
+        the first registered matching endpoint only, as a request/reply
+        exchange; the reply's mapped headers are bound onto the term's
+        variables.
         """
         with self._bindings_lock:
             bindings = list(self._action_bindings)
@@ -530,25 +535,13 @@ class AgentContainer:
             return True
         # Synchronous: first registered matching endpoint wins.
         reply_to: Future = Future()
-        chosen = None
         for binding in bindings:
-            exchange = binding.offer_action(agent.id, term, mode, reply_to)
-            if exchange is not None:
-                chosen = binding
+            if binding.offer_action(agent.id, term, mode, reply_to) is not None:
                 break
-        if chosen is None:
+        else:
             raise NoMatchingEndpointError(render_term(term.literal))
-        remaining = [
-            b for b in bindings[bindings.index(chosen) + 1 :] if b.would_match(agent.id, term)
-        ]
-        if remaining:
-            logger.warning(
-                "action %s matches %d further endpoints; first registered wins",
-                render_term(term.literal),
-                len(remaining),
-            )
         try:
             reply = reply_to.result(mode.timeout_ms / 1000.0)
         except FutureTimeoutError as exc:
             raise ActionTimeoutError(render_term(term.literal)) from exc
-        return chosen.complete(reply, term)
+        return binding.complete(reply, term)

@@ -2,7 +2,8 @@
 
 On startup an agent fetches the account list through a synchronous action and
 registers itself; membership percepts keep its view of the active agents
-fresh; an ``achieve check_relevance(...)`` request makes it match its
+fresh, and ``account_added``/``account_removed`` percepts are applied to its
+account list; an ``achieve check_relevance(...)`` request makes it match its
 allocated users' interest keywords against the mail and reply with
 ``relevant(Id, [emails...])`` -- an empty list when nothing matches, so the
 collecting route never has to rely on its timeout alone.
@@ -33,6 +34,7 @@ from ..terms import (
     Str,
     Var,
     args_of,
+    functor_of,
     render_term,
 )
 from .allocation import compute_allocation
@@ -83,8 +85,21 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         )
         return [UpdateInternal("agents", names)]
 
-    def on_account_change(agent, _literal):
-        return [_fetch_accounts()]
+    def on_account_change(agent, literal):
+        # The percept carries the change, so it is applied to the stored list
+        # at once, not deferred as an effect: a second change or a relevance
+        # request later in the same cycle sees it.  Only an agent with no list
+        # yet fetches one.
+        accounts = agent.memory.get("accounts")
+        if accounts is None:
+            return [_fetch_accounts()]
+        arg = args_of(literal)[0]
+        email = arg.text if isinstance(arg, Str) else render_term(arg)
+        accounts = set(accounts) - {email}
+        if functor_of(literal) == "account_added":
+            accounts.add(email)
+        agent.memory["accounts"] = sorted(accounts)
+        return []
 
     def on_plans_changed(agent, literal):
         seen = list(agent.memory.get("plan_changes", []))

@@ -47,7 +47,7 @@ def registration_routes(rb: RouteBuilder, prefix: str, coord_server: str = "srv"
     registrations from the same actor are dropped eagerly."""
     return (
         rb.from_("agent:action?actionName=register", route_id=f"{prefix}register")
-        .idempotent_consumer(header("actor"), IdempotentRepository(100), eager=True)
+        .idempotent_consumer(header("actor"), IdempotentRepository(100))
         .set_body(header("actor"))
         .to(f"coord://{coord_server}/agents/agent?create=true&createMode=EPHEMERAL_SEQUENTIAL")
     )

@@ -53,7 +53,7 @@ class Scenario:
         self.log = log or EventLog()
         self.broker = BrokerService()
         self.coord = CoordService()
-        self.mail = MailStore(self.log)
+        self.mail = MailStore()
         self.tables = TableStore(self.broker)
         self.engines: dict[str, RouteEngine] = {}
         self.containers: dict[str, AgentContainer] = {}

@@ -153,7 +153,6 @@ class Aggregate:
 class IdempotentConsumer:
     key: Expr
     repo: "IdempotentRepository"
-    eager: bool = True
 
 
 @dataclass(frozen=True)
@@ -320,10 +319,8 @@ class RouteBuilder:
     def aggregate(self, correlation: Expr, strategy: AggregationStrategy) -> "_AggregateSpec":
         return _AggregateSpec(self, correlation, strategy)
 
-    def idempotent_consumer(
-        self, key: Expr, repo: IdempotentRepository, eager: bool = True
-    ) -> "RouteBuilder":
-        return self._add(IdempotentConsumer(key, repo, eager))
+    def idempotent_consumer(self, key: Expr, repo: IdempotentRepository) -> "RouteBuilder":
+        return self._add(IdempotentConsumer(key, repo))
 
     def transform_rows_to_quoted_list(self, column: str) -> "RouteBuilder":
         """Turn a row-set body into quoted-string list text, e.g. ``["a@x","b@x"]``."""
@@ -673,6 +670,10 @@ class RouteService:
                 raise InvalidTransitionError(f"{self.route_id}: start from {self.state.value}")
             self._init_endpoints()
             self.state = RouteState.STARTED
+            # A deadline that passed while the route was stopped flushed nothing.
+            for agg in self._agg_states.values():
+                if agg.buckets:
+                    agg.schedule(time.monotonic())
             if self._consumer is not None:
                 self._consumer.start()
                 if self._consumer.pollable:
@@ -811,12 +812,7 @@ class RouteService:
                 if step.repo.contains(key):
                     self.engine.log.emit(self.route_id, "drop", x.id, detail=f"duplicate {key}")
                     return x
-                if step.eager:
-                    step.repo.add(key)
-                else:
-                    out = self._run(x, i + 1)
-                    step.repo.add(key)
-                    return out
+                step.repo.add(key)
             elif isinstance(step, Aggregate):
                 merged = self._agg_states[i].offer(x)
                 if merged is None:

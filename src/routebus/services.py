@@ -450,12 +450,11 @@ class MailMessage:
 
 
 class MailStore:
-    def __init__(self, log: Optional[EventLog] = None):
+    def __init__(self):
         self._accounts: dict[str, dict[str, list[MailMessage]]] = {}
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
-        self.log = log
 
     def add_account(self, name: str) -> None:
         with self._lock:

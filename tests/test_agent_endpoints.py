@@ -373,7 +373,33 @@ def test_adding_selectors_never_widens_acceptance():
         previous = accepted
 
 
-def test_replace_substitutes_every_group():
-    cfg = cfg_for(r"agent:message?match=t\((.*),(.*),(.*)\)&replace=$3-$2-$1|$$", "consumer")
-    x = consume_agent_message(cfg, msg("t(a,b,c)"))
-    assert x.in_msg.body == "c-b-a|$"
+@pytest.mark.parametrize(
+    "match, replace, content, body",
+    [
+        pytest.param(
+            r"t\((.*),(.*),(.*)\)", "$3-$2-$1|$$", "t(a,b,c)", "c-b-a|$", id="three-groups"
+        ),
+        pytest.param(r"t\((a)?(.*)\)", "<$1><$2>", "t(b)", "<><b>", id="group-not-taking-part"),
+        pytest.param(r"t\((.*)\)", "$1$", "t(a)", "a$", id="trailing-dollar"),
+        pytest.param(r"t\((.*)\)", "$x$1", "t(a)", "$xa", id="dollar-non-digit"),
+        pytest.param(
+            r"t\(" + ",".join(["(.)"] * 10) + r"\)",
+            "$10-$1",
+            "t(a,b,c,d,e,f,g,h,i,j)",
+            "j-a",
+            id="two-digit-group",
+        ),
+        pytest.param(r"t\((.*)\)", "$$1", "t(a)", "$1", id="escaped-dollar-then-digit"),
+        pytest.param(r"t\((.*)\)", "$0", "t(a)", "t(a)", id="group-zero-whole-match"),
+    ],
+)
+def test_replace_substitutes_every_group(match, replace, content, body):
+    cfg = cfg_for(f"agent:message?match={match}&replace={replace}", "consumer")
+    assert consume_agent_message(cfg, msg(content)).in_msg.body == body
+
+
+def test_replace_naming_a_missing_group_rejected_at_construction():
+    with pytest.raises(EndpointConfigError):
+        cfg_for(r"agent:message?match=p\((.*)\)&replace=$2", "consumer")
+    with pytest.raises(EndpointConfigError):
+        cfg_for(r"agent:message?match=p\((.*)\)&replace=$1$10", "consumer")

@@ -10,7 +10,6 @@ from routebus.agents import (
     Async,
     BehaviorRule,
     CoordinationUnavailableError,
-    DeliveryOutcome,
     NoMatchingEndpointError,
     OnMessage,
     OnPercept,
@@ -176,6 +175,26 @@ def test_hook_error_skips_only_that_rule(container):
     assert seen == [1]
 
 
+def test_cycle_fires_rules_in_event_arrival_order(container):
+    fired = []
+
+    def record(a, event):
+        fired.append(render_term(event.content if isinstance(event, AgentMessage) else event))
+        return []
+
+    rules = [
+        BehaviorRule(OnMessage("tell", "m"), record, "message"),
+        BehaviorRule(OnPercept("q", 0), record, "q"),
+        BehaviorRule(OnPercept("p", 0), record, "p"),
+    ]
+    agent = container.add_agent("alice", rules)
+    container.route_local_message(AgentMessage("tell", "x", "c1__alice", lit("m"), "m1"))
+    for text in ("p", "q", "p"):
+        container.deliver_percept("all", lit(text))
+    container.run_cycle(agent)
+    assert fired == ["p", "q", "p", "m"]
+
+
 def test_msg_ids_unique_across_sends(container):
     sent = []
     rule = BehaviorRule(OnPercept("go", 0), lambda a, p: [SendMessage("tell", "router", lit("x"))], "r")
@@ -203,25 +222,14 @@ class _CaptureBinding:
 def test_direct_delivery_local_receiver(container):
     alice = container.add_agent("alice")
     msg = AgentMessage("tell", "c1__bob", "c1__alice", lit("hi"), "m1")
-    assert container.route_local_message(msg) is DeliveryOutcome.DELIVERED
+    container.route_local_message(msg)
     assert list(alice.inbox) == [msg]
-
-
-def test_direct_delivery_off_hands_to_routes():
-    container = AgentContainer("c1", direct_delivery=False)
-    alice = container.add_agent("alice")
-    captured = []
-    container.register_message_binding(_CaptureBinding(captured))
-    msg = AgentMessage("tell", "x", "c1__alice", lit("hi"), "m1")
-    assert container.route_local_message(msg) is DeliveryOutcome.TO_ROUTES
-    assert not alice.inbox
-    assert captured == [msg]
 
 
 def test_broadcast_direct_delivery_reaches_all(container):
     agents = [container.add_agent(n) for n in ("a", "b")]
     msg = AgentMessage("tell", "c1__a", "all", lit("hi"), "m1")
-    assert container.route_local_message(msg) is DeliveryOutcome.DELIVERED
+    container.route_local_message(msg)
     assert all(len(a.inbox) == 1 for a in agents)
 
 

@@ -1,0 +1,54 @@
+"""The benchmark's tracer (``bench/tracer.py``) wraps program names by their
+current spelling; a rename or deletion of one must fail here, not only in a
+traced benchmark run."""
+
+import sys
+from pathlib import Path
+
+from routebus import agent_endpoints
+from routebus.agent_endpoints import AgentComponent
+from routebus.agents import AgentContainer
+from routebus.messages import new_exchange, parse_uri
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def _tracer():
+    sys.path.insert(0, BENCH)
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(BENCH)
+    return Tracer()
+
+
+def test_tracer_wraps_every_hook_and_puts_them_back():
+    original = agent_endpoints.produce_percept
+    tracer = _tracer()
+    try:
+        tracer.install()
+        assert agent_endpoints.produce_percept is not original
+    finally:
+        tracer.uninstall()
+    assert agent_endpoints.produce_percept is original
+
+
+def test_agent_producers_call_the_wrapped_functions():
+    container = AgentContainer("c1")
+    agent = container.add_agent("a")
+    component = AgentComponent(container)
+    # Made before the wrapping: a producer finds the functions at call time.
+    producers = {
+        body: component.create_producer(parse_uri(f"agent:{path}"), None, "r")
+        for path, body in (("message", "hello"), ("percept", "p(1)"))
+    }
+    tracer = _tracer()
+    try:
+        tracer.install()
+        for body, producer in producers.items():
+            producer.process(new_exchange(body=body, headers={"illoc_force": "tell"}))
+    finally:
+        tracer.uninstall()
+    labels = {span[0] for span in tracer.spans}
+    assert {"agent_endpoints.produce_message", "agent_endpoints.produce_percept"} <= labels
+    assert len(agent.inbox) == 1 and len(agent.transient) == 1

@@ -10,6 +10,7 @@ from routebus.agents import AgentContainer
 from routebus.routing import RouteService, RouteState
 from routebus.services import MailStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
+from routebus.demo.behaviors import relevance_behaviors
 from routebus.demo.config import (
     AgentSpec,
     ConfigError,
@@ -298,6 +299,32 @@ def test_account_change_updates_allocations(fast_scenario):
             for view in fast_scenario.allocations().values()
         )
     )
+
+
+def test_account_changes_are_applied_without_fetching_the_list(fast_scenario):
+    # The percepts carry the change, so no agent queries the table again.
+    fast_scenario.start()
+    fetches = len(fast_scenario.log.events(event="receive", route_id="main:account-query"))
+    fast_scenario.add_user("d@x", "budget")
+    fast_scenario.remove_user("b@x")
+    assert wait_for(
+        lambda: all(
+            view is not None and sorted(sum(view.values(), [])) == ["a@x", "c@x", "d@x"]
+            for view in fast_scenario.allocations().values()
+        )
+    )
+    assert len(fast_scenario.log.events(event="receive", route_id="main:account-query")) == fetches
+
+
+def test_account_removed_then_added_in_one_cycle_stays():
+    container = AgentContainer("c1")
+    agent = container.add_agent("a", relevance_behaviors(None))
+    agent.started = True  # skip the start-up actions: no routes serve them here
+    agent.memory["accounts"] = ["x@x", "y@x"]
+    container.deliver_percept("all", parse_term('account_removed("x@x")'))
+    container.deliver_percept("all", parse_term('account_added("x@x")'))
+    container.run_cycle(agent)
+    assert agent.memory["accounts"] == ["x@x", "y@x"]
 
 
 def test_zero_agent_scenario_clean(fast_scenario_config=None):

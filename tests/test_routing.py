@@ -272,6 +272,27 @@ def test_timed_flush_continues_at_the_next_aggregate(engine):
     assert all(not state.buckets for state in route._agg_states.values())
 
 
+def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
+    # The bucket's deadline passes while the route is stopped; the next start
+    # flushes it.
+    rb = RouteBuilder()
+    (
+        rb.from_("buffered:in", route_id="held")
+        .aggregate(header("id"), ListAppend())
+        .completion_timeout(100)
+        .to("buffered:out")
+    )
+    (route,) = engine.add_routes(rb)
+    engine.send("buffered:in", new_exchange(body="a", headers={"id": "k"}))
+    time.sleep(0.02)
+    route.stop()
+    time.sleep(0.2)
+    route.start()
+    out = engine._buffer("out").get(timeout=0.5)
+    assert out.in_msg.body == ["a"]
+    assert all(not state.buckets for state in route._agg_states.values())
+
+
 def test_split_then_aggregate_identity_route(engine):
     rb = RouteBuilder()
     (
