@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Profile one benchmark workload in process, every thread included.
+
+    python3 scripts/profile_workload.py bigtable --seed 3 --mails 100 [--top 25]
+
+Makes the workload's inputs with ``bench/workloads.py`` (users, the first
+``--mails`` mails and the table changes due before the last of them), starts
+the scenario shape the benchmark uses, hands the inputs to the benchmark's
+generator thread, which performs each at its due time, and waits until every
+mail has an outcome.
+
+Plain ``cProfile`` sees only the thread that enables it, and the program's
+work runs on route and agent threads.  So ``threading.setprofile`` gives each
+thread the scenario starts a ``cProfile.Profile`` of its own; the profiles are
+merged when the scenario has stopped.  Each profiler reads its thread's CPU
+clock, so time a thread spends blocked in a wait is not counted.  The merged
+profile covers the whole scenario, start-up included; the CPU time per mail
+covers the mails alone and is measured with the profilers on, so it reads
+several times higher than the benchmark's.
+Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
+one profiler per thread cannot be enabled, so the script needs 3.11 or older.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import math
+import pstats
+import sys
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+from routebus.demo.runner import Scenario  # noqa: E402
+
+from session import Generator, Outcomes, scenario_config  # noqa: E402
+from workloads import BURST_EVERY_S, WORKLOADS, make_inputs  # noqa: E402
+
+OUTCOME_TIMEOUT_S = 60.0
+
+
+def inputs_for(name: str, seed: int, mails: int):
+    """The workload's inputs, cut to the first ``mails`` mails."""
+    w = WORKLOADS[name]
+    if w.burst:
+        seconds = BURST_EVERY_S * math.ceil(mails / w.burst)
+    else:
+        seconds = mails / w.rate
+    inputs = make_inputs(w, seed, seconds)
+    chosen = inputs.mails[:mails]
+    last_due = chosen[-1].due
+    changes = [m for m in inputs.mutations if m.due <= last_due]
+    return inputs, sorted([*chosen, *changes], key=lambda e: e.due), len(chosen)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--mails", type=int, default=100)
+    ap.add_argument("--top", type=int, default=25, help="functions to print, by self time")
+    args = ap.parse_args(argv)
+    if sys.version_info >= (3, 12):
+        print("profile_workload: needs Python 3.11 or older (see the module docstring)", file=sys.stderr)
+        return 2
+    if args.mails < 1:
+        ap.error("--mails must be at least 1")
+
+    inputs, events, mails = inputs_for(args.workload, args.seed, args.mails)
+    profiles: list[cProfile.Profile] = []
+
+    def start_profile(*_ignored) -> None:
+        # Runs at a new thread's first event; the profiler then replaces this hook.
+        profile = cProfile.Profile(time.thread_time)
+        profiles.append(profile)
+        profile.enable()
+
+    scenario = Scenario(scenario_config(inputs))
+    threading.setprofile(start_profile)
+    try:
+        scenario.start()
+        outcomes = Outcomes(scenario)
+        before = outcomes.scan()
+        generator = Generator(scenario)
+        generator.start()
+        cpu0, t0 = time.process_time(), time.monotonic()
+        generator.submit(events, t0, time.time())
+        done = outcomes.wait_for(before + mails, t0 + events[-1].due + OUTCOME_TIMEOUT_S)
+        cpu_ms = 1000.0 * (time.process_time() - cpu0)
+        generator.close()
+    finally:
+        scenario.stop()
+        threading.setprofile(None)
+
+    stats = pstats.Stats(*profiles)
+    stats.sort_stats("tottime").print_stats(args.top)
+    print(
+        f"{args.workload} seed={args.seed}: {mails} mails, {len(profiles)} threads profiled, "
+        f"{cpu_ms / mails:.2f} CPU ms per mail (profiled)"
+    )
+    if not done:
+        print("profile_workload: not every mail reached an outcome", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,9 @@ fresh, and ``account_added``/``account_removed`` percepts are applied to its
 account list; an ``achieve check_relevance(...)`` request makes it match its
 allocated users' interest keywords against the mail and reply with
 ``relevant(Id, [emails...])`` -- an empty list when nothing matches, so the
-collecting route never has to rely on its timeout alone.
+collecting route never has to rely on its timeout alone.  The keywords come
+from a view the agent builds once per change of its membership or account
+list, so a request costs a scan of the distinct keywords, not of the table.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _fetch_accounts() -> PerformAction:
     def store_accounts(agent: AgentState, result) -> None:
         accounts = result.args[0]
         agent.memory["accounts"] = sorted(
-            el.text if isinstance(el, Str) else render_term(el) for el in accounts.elements
+            {el.text if isinstance(el, Str) else render_term(el) for el in accounts.elements}
         )
 
     return PerformAction(
@@ -56,13 +58,27 @@ def _fetch_accounts() -> PerformAction:
     )
 
 
-def assigned_accounts(agent: AgentState) -> list[str]:
-    """This agent's slice of the current allocation; empty until views settle."""
-    agents = agent.memory.get("agents") or []
-    accounts = agent.memory.get("accounts") or []
-    if agent.full_name not in agents:
-        return []
-    return list(compute_allocation(agents, accounts)[agent.full_name])
+def _relevance_view(agent: AgentState, tables: TableStore) -> dict[str, list[str]]:
+    """Each interest keyword of this agent's allocated users, mapped to their emails.
+
+    Built on the first call after ``memory["agents"]`` or ``memory["accounts"]``
+    changes.  Both lists are replaced, never edited, so an identity check finds
+    the change.  Interests are read from the table once per build.
+    """
+    agents = agent.memory.get("agents")
+    accounts = agent.memory.get("accounts")
+    built = agent.memory.get("relevance_view")
+    if built is not None and built[0] is agents and built[1] is accounts:
+        return built[2]
+    view: dict[str, list[str]] = {}
+    if agents and agent.full_name in agents:
+        interests = {row["email"]: row.get("interests", "") for row in tables.rows("users")}
+        for email in compute_allocation(agents, accounts or [])[agent.full_name]:
+            keywords = {k.strip().lower() for k in interests.get(email, "").split(",")}
+            for keyword in keywords - {""}:
+                view.setdefault(keyword, []).append(email)
+    agent.memory["relevance_view"] = (agents, accounts, view)
+    return view
 
 
 def allocation_view(agent: AgentState):
@@ -111,14 +127,10 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         haystack = " ".join(
             t.text if isinstance(t, Str) else render_term(t) for t in (subject, body)
         ).lower()
-        interests = {
-            row["email"]: row.get("interests", "") for row in tables.rows("users")
-        }
-        matched = []
-        for email in assigned_accounts(agent):
-            keywords = [k.strip().lower() for k in interests.get(email, "").split(",") if k.strip()]
-            if any(keyword in haystack for keyword in keywords):
-                matched.append(email)
+        matched = set()
+        for keyword, emails in _relevance_view(agent, tables).items():
+            if keyword in haystack:
+                matched.update(emails)
         reply = Compound(
             "relevant", (id_term, ListTerm(tuple(Str(e) for e in sorted(matched))))
         )

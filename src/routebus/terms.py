@@ -10,7 +10,7 @@ message bodies, action terms and percepts:
     list      := "[" (term ("," term)*)? "]"
     string    := '"' text '"'                  \\" escapes a quote, \\\\ a backslash
     variable  := [A-Z_][A-Za-z0-9_]*
-    number    := "-"? digits ("." digits)?
+    number    := "-"? digits ("." digits)? (("e"|"E") ("+"|"-")? digits)?
 
 Whitespace between tokens is ignored on parse.  ``render_term`` emits the
 canonical form (no whitespace, strings double-quoted, annotations last), and
@@ -19,6 +19,7 @@ canonical form (no whitespace, strings double-quoted, annotations last), and
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -47,7 +48,9 @@ __all__ = [
 
 NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 VAR_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*")
-NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+# A run of string characters that need no unescaping.
+PLAIN_RE = re.compile(r'[^"\\]*')
 
 
 class TermSyntaxError(ValueError):
@@ -223,6 +226,8 @@ def render_term(t: Term) -> str:
         return t.name + _render_annots(t.annotations)
     if isinstance(t, Number):
         v = t.value
+        if not math.isfinite(v):
+            raise ValueError(f"number {v!r} has no term syntax")
         if v.is_integer():
             return str(int(v))
         return repr(v)
@@ -325,21 +330,20 @@ class _Parser:
         self.expect('"')
         out: list[str] = []
         while True:
+            m = PLAIN_RE.match(self.text, self.pos)
+            out.append(m.group())
+            self.pos = m.end()
             ch = self.peek()
-            if ch == "":
-                raise self.error("closing '\"'")
-            if ch == "\\":
-                escaped = self.text[self.pos + 1 : self.pos + 2]
-                if escaped in ('"', "\\"):
-                    out.append(escaped)
-                    self.pos += 2
-                    continue
-                raise self.error("'\\\"' or '\\\\'")
             if ch == '"':
                 self.pos += 1
                 return Str("".join(out))
-            out.append(ch)
-            self.pos += 1
+            if ch == "":
+                raise self.error("closing '\"'")
+            escaped = self.text[self.pos + 1 : self.pos + 2]
+            if escaped not in ('"', "\\"):
+                raise self.error("'\\\"' or '\\\\'")
+            out.append(escaped)
+            self.pos += 2
 
     def number(self) -> Number:
         m = NUMBER_RE.match(self.text, self.pos)

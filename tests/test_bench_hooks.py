@@ -3,14 +3,25 @@ current spelling; a rename or deletion of one must fail here, not only in a
 traced benchmark run."""
 
 import sys
+import time
 from pathlib import Path
 
 from routebus import agent_endpoints
 from routebus.agent_endpoints import AgentComponent
 from routebus.agents import AgentContainer
+from routebus.demo import Scenario, ScenarioConfig
 from routebus.messages import new_exchange, parse_uri
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def wait_for(predicate, timeout=6.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def _tracer():
@@ -52,3 +63,25 @@ def test_agent_producers_call_the_wrapped_functions():
     labels = {span[0] for span in tracer.spans}
     assert {"agent_endpoints.produce_message", "agent_endpoints.produce_percept"} <= labels
     assert len(agent.inbox) == 1 and len(agent.transient) == 1
+
+
+def test_relevance_view_is_built_once_per_change():
+    config = ScenarioConfig.default()
+    config.aggregate_timeout_ms = 300
+    tracer = _tracer()
+    tracer.install()
+    scenario = Scenario(config)
+    try:
+        scenario.start()
+        assert wait_for(lambda: len(scenario.forward_events()) == 1)
+        first = len(tracer.spans)
+        for i in range(9):
+            scenario.inject_mail("x@corp", f"budget {i}", "travel notes")
+        assert wait_for(lambda: len(scenario.forward_events()) == 10)
+    finally:
+        scenario.stop()
+        tracer.uninstall()
+    labels = [span[0] for span in tracer.spans[first:]]
+    assert "routing.collect-replies" in labels
+    assert "demo.compute_allocation" not in labels
+    assert "services.table.rows" not in labels

@@ -4,11 +4,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from routebus import agent_endpoints
-from routebus.agents import AgentContainer
+from routebus.agents import AgentContainer, AgentMessage, Persistence, UpdateMode
 from routebus.routing import RouteService, RouteState
-from routebus.services import MailStore
+from routebus.services import MailStore, TableStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
 from routebus.demo.behaviors import relevance_behaviors
 from routebus.demo.config import (
@@ -21,7 +22,7 @@ from routebus.demo.config import (
 )
 from routebus.demo.runner import Scenario
 from routebus.demo import cli, runner
-from routebus.terms import parse_term, render_term
+from routebus.terms import Compound, ListTerm, Str, parse_term, render_term
 
 
 # --- allocation ----------------------------------------------------------------
@@ -325,6 +326,133 @@ def test_account_removed_then_added_in_one_cycle_stays():
     container.deliver_percept("all", parse_term('account_added("x@x")'))
     container.run_cycle(agent)
     assert agent.memory["accounts"] == ["x@x", "y@x"]
+
+
+# --- relevance view ---------------------------------------------------------------
+
+
+def reference_relevant(users, agents, accounts, name, subject, body):
+    """The per-mail scan the view replaced: the whole table and the allocation
+    are read again for every request."""
+    haystack = f"{subject} {body}".lower()
+    interests = {row["email"]: row.get("interests", "") for row in users}
+    assigned = compute_allocation(agents, accounts)[name] if name in agents else []
+    matched = []
+    for email in assigned:
+        keywords = [k.strip().lower() for k in interests.get(email, "").split(",") if k.strip()]
+        if any(keyword in haystack for keyword in keywords):
+            matched.append(email)
+    return sorted(matched)
+
+
+def relevance_agents(users, names):
+    tables = TableStore()
+    tables.add_table("users", ("email", "interests"), users)
+    container = AgentContainer("c")
+    for name in names:
+        container.add_agent(name, relevance_behaviors(tables))
+    return container
+
+
+def ask(agent, subject, body, msg_id="m1"):
+    """The reply of the agent's relevance rule to one request."""
+    (rule,) = [r for r in agent.behaviors if r.name == "relevance"]
+    request = Compound("check_relevance", (Str(msg_id), Str("x@corp"), Str(subject), Str(body)))
+    (reply,) = rule.hook(agent, AgentMessage("achieve", "router", agent.full_name, request, msg_id))
+    return reply.content
+
+
+def relevant(msg_id, emails):
+    return Compound("relevant", (Str(msg_id), ListTerm(tuple(Str(e) for e in emails))))
+
+
+# Few letters, so keywords often hold one another and mails often hold them.
+words = st.text(alphabet="abAB ", max_size=4)
+
+
+@given(
+    interests=st.lists(st.lists(words, max_size=4).map(",".join), max_size=8),
+    extra_accounts=st.integers(0, 2),
+    agent_count=st.integers(1, 4),
+    members=st.sets(st.integers(0, 3)),
+    mails=st.lists(st.tuples(words, words), min_size=1, max_size=4),
+)
+@example(
+    interests=["Budget , bud,budget", "", " get", "b"],
+    extra_accounts=1,
+    agent_count=3,
+    members={0, 1},
+    mails=[("BUDGET plan", "get"), ("travel", "")],
+)
+def test_relevance_view_replies_as_the_per_mail_scan(
+    interests, extra_accounts, agent_count, members, mails
+):
+    users = [{"email": f"u{i}@x", "interests": text} for i, text in enumerate(interests)]
+    # Accounts the table has no row for, and a row the list does not hold yet.
+    accounts = sorted(
+        {u["email"] for u in users[: len(users) - 1]} | {f"v{i}@x" for i in range(extra_accounts)}
+    )
+    names = [f"a{i}" for i in range(agent_count)]
+    container = relevance_agents(users, names)
+    # Agents left out of the membership are unassigned.
+    assigned = [f"c__a{i}" for i in sorted(members) if i < agent_count]
+    for agent in container.agents.values():
+        agent.memory["agents"] = assigned
+        agent.memory["accounts"] = accounts
+    for subject, body in mails:
+        for agent in container.agents.values():
+            expected = reference_relevant(users, assigned, accounts, agent.full_name, subject, body)
+            assert ask(agent, subject, body) == relevant("m1", expected)
+
+
+def test_relevance_view_follows_a_new_membership_percept():
+    users = [{"email": f"u{i}@x", "interests": "budget"} for i in range(4)]
+    container = relevance_agents(users, ["a", "b"])
+    a = container.agents["c__a"]
+    a.started = True  # skip the start-up actions: no routes serve them here
+    a.memory["accounts"] = [u["email"] for u in users]
+    a.memory["agents"] = ["c__a"]
+    assert ask(a, "budget", "") == relevant("m1", ["u0@x", "u1@x", "u2@x", "u3@x"])
+    container.deliver_percept(
+        "c__a",
+        parse_term('agents(["c__a","c__b"])'),
+        Persistence.PERSISTENT,
+        UpdateMode.REPLACE_SAME_FUNCTOR_ARITY,
+    )
+    container.run_cycle(a)
+    assert ask(a, "budget", "") == relevant("m1", ["u0@x", "u2@x"])
+
+
+def forwarded_to(scenario, subject):
+    return [
+        detail.split(" subject=", 1)[0]
+        for _, detail in scenario.forward_events()
+        if detail.endswith(" subject=" + subject)
+    ]
+
+
+def test_added_user_gets_the_next_matching_mail(fast_scenario):
+    fast_scenario.start()
+    assert wait_for(fast_scenario.forward_events)  # the start-up mail built the views
+    fast_scenario.add_user("d@x", "zebra")
+    assert wait_for(
+        lambda: all("d@x" in sum(v.values(), []) for v in fast_scenario.allocations().values())
+    )
+    fast_scenario.inject_mail("x@corp", "zebra sighting", "see the notes")
+    assert wait_for(lambda: forwarded_to(fast_scenario, "zebra sighting"))
+    assert forwarded_to(fast_scenario, "zebra sighting") == ["to=[d@x]"]
+
+
+def test_removed_user_misses_the_next_matching_mail(fast_scenario):
+    fast_scenario.start()
+    assert wait_for(fast_scenario.forward_events)
+    fast_scenario.remove_user("a@x")
+    assert wait_for(
+        lambda: all("a@x" not in sum(v.values(), []) for v in fast_scenario.allocations().values())
+    )
+    fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
+    assert wait_for(lambda: forwarded_to(fast_scenario, "budget travel"))
+    assert forwarded_to(fast_scenario, "budget travel") == ["to=[b@x]"]
 
 
 def test_zero_agent_scenario_clean(fast_scenario_config=None):

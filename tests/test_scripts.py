@@ -1,6 +1,8 @@
 """The example scripts that the README advertises run to completion."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,16 @@ def load_script(name):
 def test_example_script_runs(name, expected, capsys):
     assert load_script(name).main() == 0
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="needs one cProfile per thread")
+def test_profile_workload_runs():
+    # A child process, because the script puts bench/ on its import path.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "profile_workload.py"), "steady", "--seed", "3", "--mails", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout

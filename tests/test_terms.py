@@ -215,3 +215,48 @@ def test_round_trip_random_terms(t):
 )
 def test_route_emitted_shapes_all_parse(text):
     assert render_term(parse_term(text)) == text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_number_round_trips(v):
+    assert parse_term(render_term(Number(v))) == Number(v)
+
+
+def test_exponent_numbers_parse():
+    assert parse_term("1e-05") == Number(0.00001)
+    assert parse_term("-2.5E+3") == Number(-2500)
+
+
+@pytest.mark.parametrize("v", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_number_is_not_rendered(v):
+    with pytest.raises(ValueError):
+        render_term(Number(v))
+
+
+@pytest.mark.parametrize(
+    "text, position, expected",
+    [
+        ('"unterminated', 13, "closing '\"'"),
+        ('p("a\\nb")', 4, "'\\\"' or '\\\\'"),
+    ],
+)
+def test_string_errors_keep_offset_and_text(text, position, expected):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(text)
+    assert (err.value.position, err.value.expected) == (position, expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x" * 1000 + '"',
+        '"' + "x" * 1000,
+        "\\" + "y" * 1500 + "\\",
+        '"\\' + "z" * 1200 + '\\"' + "w" * 1000,
+    ],
+)
+def test_long_plain_runs_beside_escapes_round_trip(text):
+    assert parse_term(render_term(Str(text))) == Str(text)
+    assert parse_term(render_term(ListTerm((Str(text), Str(text))))) == ListTerm(
+        (Str(text), Str(text))
+    )
