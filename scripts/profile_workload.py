@@ -16,7 +16,8 @@ merged when the scenario has stopped.  Each profiler reads its thread's CPU
 clock, so time a thread spends blocked in a wait is not counted.  The merged
 profile covers the whole scenario, start-up included; the CPU time per mail
 covers the mails alone and is measured with the profilers on, so it reads
-several times higher than the benchmark's.
+several times higher than the benchmark's.  After the table by self time,
+the callers of the three functions with the most self time are listed.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -99,6 +100,7 @@ def main(argv=None) -> int:
 
     stats = pstats.Stats(*profiles)
     stats.sort_stats("tottime").print_stats(args.top)
+    stats.print_callers(3)
     print(
         f"{args.workload} seed={args.seed}: {mails} mails, {len(profiles)} threads profiled, "
         f"{cpu_ms / mails:.2f} CPU ms per mail (profiled)"

@@ -36,7 +36,6 @@ from .agents import (
     Persistence,
     SendMessage,
     Sync,
-    UpdateInternal,
     UpdateMode,
 )
 from .agent_endpoints import AgentComponent, AgentEndpointConfig, EndpointKind

@@ -1,11 +1,11 @@
 """Agent container and reactive agents: percept queues, inboxes, cycles, actions.
 
 Agents are deliberately thin: behaviour rules map triggers (startup, a percept
-arriving, a message arriving) to host hooks that return effects (send a
-message, perform an action, update internal memory).  Queue semantics, agent
-naming (``containerId__localName``) and the endpoint contracts are kept rich
-enough that a full reasoning engine could be slotted in behind the same
-container interface.
+arriving, a message arriving) to host hooks that write their own agent's
+memory and return effects (send a message, perform an action).  Queue
+semantics, agent naming (``containerId__localName``) and the endpoint
+contracts are kept rich enough that a full reasoning engine could be slotted
+in behind the same container interface.
 
 Each agent runs on its own thread; inboxes and percept queues take writes from
 any endpoint thread and are drained only by the owning agent's cycle.
@@ -48,7 +48,6 @@ __all__ = [
     "OnMessage",
     "SendMessage",
     "PerformAction",
-    "UpdateInternal",
     "ActionMode",
     "Sync",
     "Async",
@@ -179,13 +178,7 @@ class PerformAction:
     on_result: Optional[Callable[["AgentState", object], None]] = None
 
 
-@dataclass(frozen=True)
-class UpdateInternal:
-    key: str
-    value: object
-
-
-AgentEffect = Union[SendMessage, PerformAction, UpdateInternal]
+AgentEffect = Union[SendMessage, PerformAction]
 
 Hook = Callable[["AgentState", object], Sequence[AgentEffect]]
 
@@ -260,7 +253,9 @@ class AgentState:
             return [e.literal for e in self.persistent]
 
 
-def _triggers(trigger: Trigger, event: Union[Literal, AgentMessage]) -> bool:
+def _triggers(trigger: Trigger, event: Union[None, Literal, AgentMessage]) -> bool:
+    if event is None:
+        return isinstance(trigger, OnStartup)
     if isinstance(event, AgentMessage):
         return (
             isinstance(trigger, OnMessage)
@@ -365,27 +360,26 @@ class AgentContainer:
     # -- reasoning cycle --
 
     def run_cycle(self, agent: AgentState) -> list[AgentEffect]:
-        """One cycle: startup (first time), then drain queues and fire rules.
+        """One cycle over the startup event (first cycle only, payload None),
+        then the drained percepts, then the drained messages, each in arrival
+        order.
 
-        The drained percepts, then the drained messages, are taken in arrival
-        order, and each fires its matching rules in rule order, so a hook sees
-        what the hooks of earlier events stored.  The collected effects are
-        executed before returning; hook errors are logged and skip only the
-        offending rule.
+        Each event fires its matching rules in rule order, and a rule's
+        effects run before the next rule fires, so a hook sees what earlier
+        hooks stored and what their actions returned.  Hook errors are logged
+        and skip only the offending rule.  Returns the effects that ran.
         """
-        effects: list[AgentEffect] = []
-        if not agent.started:
-            agent.started = True
-            for rule in agent.behaviors:
-                if isinstance(rule.trigger, OnStartup):
-                    effects.extend(self._fire(agent, rule, None))
         transients, novel_persistents, messages = agent.drain_for_cycle()
-        percepts = [e.literal for e in transients] + [e.literal for e in novel_persistents]
-        for event in [*percepts, *messages]:
+        startup = [] if agent.started else [None]
+        agent.started = True
+        percepts = [e.literal for e in (*transients, *novel_persistents)]
+        effects: list[AgentEffect] = []
+        for event in [*startup, *percepts, *messages]:
             for rule in agent.behaviors:
                 if _triggers(rule.trigger, event):
-                    effects.extend(self._fire(agent, rule, event))
-        self._execute(agent, effects)
+                    fired = self._fire(agent, rule, event)
+                    self._execute(agent, fired)
+                    effects += fired
         return effects
 
     def _fire(self, agent: AgentState, rule: BehaviorRule, payload) -> list[AgentEffect]:
@@ -403,9 +397,7 @@ class AgentContainer:
     def _execute(self, agent: AgentState, effects: list[AgentEffect]) -> None:
         for effect in effects:
             try:
-                if isinstance(effect, UpdateInternal):
-                    agent.memory[effect.key] = effect.value
-                elif isinstance(effect, SendMessage):
+                if isinstance(effect, SendMessage):
                     msg = AgentMessage(
                         effect.illoc_force,
                         agent.full_name,

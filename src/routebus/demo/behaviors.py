@@ -9,6 +9,9 @@ allocated users' interest keywords against the mail and reply with
 collecting route never has to rely on its timeout alone.  The keywords come
 from a view the agent builds once per change of its membership or account
 list, so a request costs a scan of the distinct keywords, not of the table.
+Every hook writes the agent's memory itself, and the container runs a rule's
+effects before the next rule fires, so a request later in the same cycle is
+answered from the membership and accounts that earlier events stored.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from ..agents import (
     PerformAction,
     SendMessage,
     Sync,
-    UpdateInternal,
 )
 from ..services import TableStore
 from ..terms import (
@@ -99,13 +101,12 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         names = sorted(
             el.text if isinstance(el, Str) else render_term(el) for el in members.elements
         )
-        return [UpdateInternal("agents", names)]
+        agent.memory["agents"] = names
+        return []
 
     def on_account_change(agent, literal):
-        # The percept carries the change, so it is applied to the stored list
-        # at once, not deferred as an effect: a second change or a relevance
-        # request later in the same cycle sees it.  Only an agent with no list
-        # yet fetches one.
+        # The percept carries the change; only an agent with no list yet
+        # fetches one.
         accounts = agent.memory.get("accounts")
         if accounts is None:
             return [_fetch_accounts()]
@@ -118,9 +119,8 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         return []
 
     def on_plans_changed(agent, literal):
-        seen = list(agent.memory.get("plan_changes", []))
-        seen.append(render_term(literal))
-        return [UpdateInternal("plan_changes", seen)]
+        agent.memory.setdefault("plan_changes", []).append(render_term(literal))
+        return []
 
     def on_check_relevance(agent, msg):
         id_term, _from_term, subject, body = msg.content.args

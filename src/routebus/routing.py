@@ -17,6 +17,7 @@ bucket does.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import logging
@@ -177,6 +178,9 @@ Processor = Union[
 
 
 class AggregationStrategy:
+    """Merges one completed bucket.  The bucket's exchanges are dropped once
+    merged, so a merge reuses their bodies and header values uncopied."""
+
     def merge(self, exchanges: list[Exchange]) -> Exchange:
         raise NotImplementedError
 
@@ -186,9 +190,9 @@ class ListAppend(AggregationStrategy):
 
     def merge(self, exchanges: list[Exchange]) -> Exchange:
         first = exchanges[0]
-        merged = new_exchange(first.pattern, None, first.in_msg.copy().headers)
-        merged.in_msg.body = [x.in_msg.copy().body for x in exchanges]
-        return merged
+        return new_exchange(
+            first.pattern, [x.in_msg.body for x in exchanges], first.in_msg.headers
+        )
 
 
 class SetUnion(AggregationStrategy):
@@ -214,9 +218,9 @@ class SetUnion(AggregationStrategy):
             for el in items:
                 elements.setdefault(render_term(el), term_to_body(el))
         first = exchanges[0]
-        merged = new_exchange(first.pattern, None, first.in_msg.copy().headers)
-        merged.in_msg.body = [elements[k] for k in sorted(elements)]
-        return merged
+        return new_exchange(
+            first.pattern, [elements[k] for k in sorted(elements)], first.in_msg.headers
+        )
 
 
 class CombineBodyAndHeader(AggregationStrategy):
@@ -228,12 +232,10 @@ class CombineBodyAndHeader(AggregationStrategy):
     def merge(self, exchanges: list[Exchange]) -> Exchange:
         lacking = next((x for x in exchanges if self.header_name not in x.in_msg.headers), None)
         having = next((x for x in exchanges if self.header_name in x.in_msg.headers), None)
-        base = (lacking or exchanges[0]).copy()
+        base = lacking or exchanges[0]
         merged = new_exchange(base.pattern, base.in_msg.body, base.in_msg.headers)
         if having is not None:
-            merged.in_msg.headers[self.header_name] = having.copy().in_msg.headers[
-                self.header_name
-            ]
+            merged.in_msg.headers[self.header_name] = having.in_msg.headers[self.header_name]
         return merged
 
 
@@ -555,8 +557,7 @@ def split_exchange(x: Exchange, e: Expr) -> list[Exchange]:
         raise TypeMismatchError(f"split over non-collection value {value!r}")
     children = []
     for i, el in enumerate(elements):
-        child = new_exchange(x.pattern, None, x.in_msg.copy().headers)
-        child.in_msg.body = el
+        child = new_exchange(x.pattern, el, copy.deepcopy(x.in_msg.headers))
         child.in_msg.headers["split.index"] = i
         child.in_msg.headers["split.size"] = len(elements)
         children.append(child)

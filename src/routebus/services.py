@@ -495,13 +495,13 @@ class MailStore:
                 raise UnknownAccountError(account)
             inbox = folders["inbox"]
             unread = [m for m in inbox if m.unread]
+            if delete:
+                folders["inbox"] = [m for m in inbox if not m.unread]
             for mail in unread:
                 mail.unread = False
                 if copy_to is not None:
                     folders.setdefault(copy_to, []).append(mail)
-            if delete:
-                folders["inbox"] = [m for m in inbox if m not in unread]
-            return list(unread)
+            return unread
 
     def folder(self, account: str, name: str) -> list[MailMessage]:
         with self._lock:

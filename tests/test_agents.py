@@ -19,7 +19,6 @@ from routebus.agents import (
     SendMessage,
     Sync,
     UnboundVariablesError,
-    UpdateInternal,
     UpdateMode,
 )
 from routebus.agent_endpoints import AgentComponent
@@ -152,12 +151,12 @@ def test_empty_queues_produce_no_effects(container):
     assert container.run_cycle(agent) == []
 
 
-def test_on_message_rule_and_update_internal(container):
-    rule = BehaviorRule(
-        OnMessage("achieve", "check_relevance"),
-        lambda a, m: [UpdateInternal("last", render_term(m.content))],
-        "r",
-    )
+def test_on_message_rule_writes_memory(container):
+    def remember(a, m):
+        a.memory["last"] = render_term(m.content)
+        return []
+
+    rule = BehaviorRule(OnMessage("achieve", "check_relevance"), remember, "r")
     agent = container.add_agent("alice", [rule])
     msg = AgentMessage("achieve", "router", "c1__alice", lit("check_relevance(1)"), "m1")
     container.route_local_message(msg)
@@ -193,6 +192,38 @@ def test_cycle_fires_rules_in_event_arrival_order(container):
         container.deliver_percept("all", lit(text))
     container.run_cycle(agent)
     assert fired == ["p", "q", "p", "m"]
+
+
+def test_message_rule_sees_the_result_of_an_earlier_sync_action(action_setup):
+    container, engine = action_setup
+    rb = RouteBuilder()
+    (
+        rb.from_(
+            "agent:action?exchangePattern=InOut&actionName=lookup&resultHeaderMap=result:1",
+            route_id="lookup",
+        ).set_header("result", constant("42"))
+    )
+    engine.add_routes(rb)
+
+    def store(agent, result):
+        agent.memory["found"] = render_term(result.args[0])
+
+    seen = []
+    rules = [
+        BehaviorRule(
+            OnPercept("p", 0),
+            lambda a, p: [PerformAction(ActionTerm(parse_term("lookup(X)")), Sync(2000), store)],
+            "act",
+        ),
+        BehaviorRule(
+            OnMessage("tell", "m"), lambda a, m: seen.append(a.memory.get("found")) or [], "read"
+        ),
+    ]
+    agent = container.add_agent("alice", rules)
+    container.deliver_percept("all", lit("p"))
+    container.route_local_message(AgentMessage("tell", "x", "c1__alice", lit("m"), "m1"))
+    container.run_cycle(agent)
+    assert seen == ["42"]
 
 
 def test_msg_ids_unique_across_sends(container):

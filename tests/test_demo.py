@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from routebus import agent_endpoints
-from routebus.agents import AgentContainer, AgentMessage, Persistence, UpdateMode
+from routebus.agents import AgentContainer, AgentMessage, Persistence, SendMessage, UpdateMode
 from routebus.routing import RouteService, RouteState
 from routebus.services import MailStore, TableStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
@@ -421,6 +421,25 @@ def test_relevance_view_follows_a_new_membership_percept():
     )
     container.run_cycle(a)
     assert ask(a, "budget", "") == relevant("m1", ["u0@x", "u2@x"])
+
+
+def test_request_after_a_membership_percept_in_one_cycle_uses_the_new_membership():
+    users = [{"email": f"u{i}@x", "interests": "budget"} for i in range(4)]
+    container = relevance_agents(users, ["a", "b"])
+    a = container.agents["c__a"]
+    a.started = True  # skip the start-up actions: no routes serve them here
+    a.memory["accounts"] = [u["email"] for u in users]
+    a.memory["agents"] = ["c__a", "c__b"]
+    container.deliver_percept(
+        "c__a",
+        parse_term('agents(["c__a"])'),
+        Persistence.PERSISTENT,
+        UpdateMode.REPLACE_SAME_FUNCTOR_ARITY,
+    )
+    request = Compound("check_relevance", (Str("1"), Str("x@corp"), Str("budget"), Str("")))
+    container.route_local_message(AgentMessage("achieve", "router", "c__a", request, "m1"))
+    (reply,) = [e for e in container.run_cycle(a) if isinstance(e, SendMessage)]
+    assert reply.content == relevant("1", ["u0@x", "u1@x", "u2@x", "u3@x"])
 
 
 def forwarded_to(scenario, subject):

@@ -123,6 +123,14 @@ def test_split_children_carry_headers_and_indices():
     assert all(c.in_msg.headers["split.size"] == 3 for c in children)
 
 
+def test_split_children_own_their_headers():
+    x = new_exchange(ExchangePattern.IN_ONLY, [["a"], ["b"]], {"tags": ["t"]})
+    first, second = split_exchange(x, body())
+    first.in_msg.headers["tags"].append("changed")
+    assert x.in_msg.headers["tags"] == second.in_msg.headers["tags"] == ["t"]
+    assert first.in_msg.body is x.in_msg.body[0]
+
+
 def test_split_empty_list_produces_no_children():
     x = new_exchange(ExchangePattern.IN_ONLY, [])
     assert split_exchange(x, body()) == []
@@ -155,6 +163,15 @@ def test_aggregate_size_list_append():
             out.append(merged)
     assert len(out) == 1
     assert out[0].in_msg.body == ["a", "b", "c"]
+
+
+def test_list_append_merge_holds_the_offered_bodies():
+    bodies = [["a"], {"b": 1}, ["c"]]
+    state = AggregateState(Aggregate(header("k"), ListAppend(), completion_size=3))
+    merged = None
+    for b in bodies:
+        merged = state.offer(new_exchange(body=b, headers={"k": "x"})) or merged
+    assert all(got is offered for got, offered in zip(merged.in_msg.body, bodies, strict=True))
 
 
 def test_aggregate_size_one_is_pass_through():

@@ -37,3 +37,4 @@ def test_profile_workload_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout
+    assert "was called by" in done.stdout

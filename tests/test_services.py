@@ -258,6 +258,20 @@ def test_poll_delete_and_copy_to():
     assert len(store.folder("to.share", "processed")) == 1
 
 
+def test_poll_delete_keeps_only_the_mail_read_earlier():
+    store = MailStore()
+    store.add_account("to.share")
+    store.deliver(["to.share"], "a@x", "old1", "b")
+    store.deliver(["to.share"], "a@x", "old2", "b")
+    store.poll("to.share")  # read, but kept in the inbox
+    for subject in ("new1", "new2", "new3"):
+        store.deliver(["to.share"], "a@x", subject, "b")
+    polled = store.poll("to.share", delete=True, copy_to="processed")
+    assert [m.subject for m in polled] == ["new1", "new2", "new3"]
+    assert [m.subject for m in store.folder("to.share", "inbox")] == ["old1", "old2"]
+    assert [m.subject for m in store.folder("to.share", "processed")] == ["new1", "new2", "new3"]
+
+
 def test_unknown_account_poll():
     store = MailStore()
     with pytest.raises(UnknownAccountError):
