@@ -10,14 +10,16 @@ generator thread, which performs each at its due time, and waits until every
 mail has an outcome.
 
 Plain ``cProfile`` sees only the thread that enables it, and the program's
-work runs on route and agent threads.  So ``threading.setprofile`` gives each
-thread the scenario starts a ``cProfile.Profile`` of its own; the profiles are
-merged when the scenario has stopped.  Each profiler reads its thread's CPU
-clock, so time a thread spends blocked in a wait is not counted.  The merged
+work runs on each engine's loop thread (``<engine>-loop``) and on the agent
+threads (``agent-<name>``).  So ``threading.setprofile`` gives each thread the
+scenario starts a ``cProfile.Profile`` of its own; the profiles are merged
+when the scenario has stopped.  Each profiler reads its thread's CPU clock,
+so time a thread spends blocked in a wait is not counted.  The merged
 profile covers the whole scenario, start-up included; the CPU time per mail
 covers the mails alone and is measured with the profilers on, so it reads
 several times higher than the benchmark's.  After the table by self time,
-the callers of the three functions with the most self time are listed.
+the callers of the three functions with the most self time are listed, then
+one line per thread with its name and its profiled CPU seconds.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -73,12 +75,12 @@ def main(argv=None) -> int:
         ap.error("--mails must be at least 1")
 
     inputs, events, mails = inputs_for(args.workload, args.seed, args.mails)
-    profiles: list[cProfile.Profile] = []
+    profiles: list[tuple[str, cProfile.Profile]] = []
 
     def start_profile(*_ignored) -> None:
         # Runs at a new thread's first event; the profiler then replaces this hook.
         profile = cProfile.Profile(time.thread_time)
-        profiles.append(profile)
+        profiles.append((threading.current_thread().name, profile))
         profile.enable()
 
     scenario = Scenario(scenario_config(inputs))
@@ -98,9 +100,11 @@ def main(argv=None) -> int:
         scenario.stop()
         threading.setprofile(None)
 
-    stats = pstats.Stats(*profiles)
+    stats = pstats.Stats(*(profile for _, profile in profiles))
     stats.sort_stats("tottime").print_stats(args.top)
     stats.print_callers(3)
+    for name, profile in profiles:
+        print(f"thread {name}: {pstats.Stats(profile).total_tt:.3f} CPU s")
     print(
         f"{args.workload} seed={args.seed}: {mails} mails, {len(profiles)} threads profiled, "
         f"{cpu_ms / mails:.2f} CPU ms per mail (profiled)"

@@ -14,7 +14,7 @@ import re
 from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .agents import (
     AgentContainer,
@@ -439,7 +439,8 @@ class _AgentConsumer(_ChannelConsumer):
         self.container = container
         self.cfg = cfg
 
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
+        super().start(ready)
         if self.cfg.kind is EndpointKind.MESSAGE_CONSUMER:
             self.container.register_message_binding(self)
         else:

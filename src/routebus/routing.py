@@ -4,15 +4,15 @@ A route consumes exchanges from one endpoint and runs each through an ordered
 pipeline of processors (set-header/set-body, filter, multicast, split,
 aggregate, idempotent-consumer, custom hooks), ending at producer endpoints.
 
-Execution model: every started route owns one worker context that blocks on
-its consumer endpoint until a delivery or a state change wakes it, and runs
-the pipeline to completion, one exchange in flight per route.  ``direct:``
-producers run the target route's pipeline inline on the caller's context;
-``buffered:`` producers enqueue a copy and return.  Each aggregate step has one
-bucket state, made with the route.  A timed aggregation bucket is flushed at
-its deadline by the engine's scheduler (``RouteEngine.call_at``), and the
-merged exchange continues at the step after that aggregate, as a completed
-bucket does.
+Execution model: each engine runs one loop thread, ``<engine>-loop``, with a
+FIFO run queue of routes that their consumers readied and the deadlines of
+``RouteEngine.call_at``.  A turn runs a due call or polls the next ready
+route's consumer once and runs that one exchange, so routes and deadlines
+stay fair under load.  ``direct:`` producers run the target route's pipeline
+inline on the caller's context; ``buffered:`` producers enqueue a copy and
+return.  Each aggregate step has one bucket state, made with the route.  A
+timed bucket is flushed at its deadline on the loop, and the merged exchange
+continues at the step after that aggregate, as a completed bucket does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from queue import Queue
+from queue import Empty, Queue
 from typing import Callable, Optional, Union
 
 from .expressions import (
@@ -409,27 +409,24 @@ class Delivery:
 
 
 class Consumer:
-    """Source of deliveries for a route; the route worker polls it.
+    """Source of deliveries for a route (an Event-Driven Consumer).
 
-    ``poll(live)`` blocks until a delivery is ready, or returns None once
-    ``live()`` is false; ``wake()`` makes a blocked ``poll`` check ``live()``
-    again.  Non-pollable consumers (``direct:``) only hook start/stop and are
-    fed inline by producers instead of a worker thread.
+    ``start(ready)`` hands over the route's ``ready``, which the consumer calls,
+    from any thread, whenever a delivery may have arrived.  ``poll()`` never
+    blocks: it returns the next delivery or None.  A consumer fed inline by
+    its producers (``direct:``) has nothing to poll.  A stopped route stays a
+    listener: its ``ready`` costs the loop one idle turn, and a restart hands
+    over an equal ``ready``, which a listener set holds once.
     """
 
-    pollable = True
-
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
         pass
 
     def stop(self) -> None:
         pass
 
-    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
-        raise NotImplementedError
-
-    def wake(self) -> None:
-        pass
+    def poll(self) -> Optional[Delivery]:
+        return None
 
 
 class Producer:
@@ -442,7 +439,7 @@ class Producer:
 class Component:
     """Factory for the endpoints of one URI scheme."""
 
-    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Optional[Consumer]:
+    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Consumer:
         raise EndpointInitError(f"{uri.scheme}: does not support consumers")
 
     def create_producer(self, uri: EndpointUri, engine: "RouteEngine", route_id: str) -> Producer:
@@ -450,22 +447,40 @@ class Component:
 
 
 class Channel(Queue):
-    """A FIFO queue whose reader blocks until an item arrives or it is woken."""
+    """A FIFO queue that calls each of its listeners after every put.
 
-    def take(self, live: Callable[[], bool]):
-        """The next item, or None once ``live()`` is false."""
-        with self.not_empty:
-            while live():
-                if self._qsize():
-                    self.not_full.notify()
-                    return self._get()
-                self.not_empty.wait()
-        return None
+    A route consumes a channel by listening with its ``ready`` and taking one
+    item per loop turn.  Two invariants keep an engine's single loop thread
+    from deadlocking:
 
-    def wake(self) -> None:
-        """Make every blocked ``take`` check its ``live()`` again."""
-        with self.not_empty:
-            self.not_empty.notify_all()
+    * a step never waits for work on its own engine, since only the loop that
+      waits could do that work;
+    * the loop never puts into a bounded channel that it drains.  Only the
+      ``agent:`` consumer channels (``maxsize=1024``) are bounded, and only
+      agent threads put into them.
+    """
+
+    def __init__(self, maxsize: int = 0):
+        super().__init__(maxsize)
+        self.listeners: frozenset[Callable[[], None]] = frozenset()
+
+    def listen(self, ready: Callable[[], None]) -> None:
+        """Copy on write, so ``put`` reads the listeners without the lock."""
+        with self.mutex:
+            self.listeners = self.listeners | {ready}
+
+    def put(self, item, block: bool = True, timeout: Optional[float] = None) -> None:
+        super().put(item, block, timeout)
+        for ready in self.listeners:
+            ready()
+
+    def take(self):
+        """The next item, or None when the channel is empty; never blocks."""
+        with self.mutex:
+            if not self._qsize():
+                return None
+            self.not_full.notify()
+            return self._get()
 
 
 class _ChannelConsumer(Consumer):
@@ -474,15 +489,15 @@ class _ChannelConsumer(Consumer):
     def __init__(self, channel: Optional[Channel] = None):
         self.channel = channel
 
-    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
-        item = self.channel.take(live)
+    def start(self, ready: Callable[[], None]) -> None:
+        self.channel.listen(ready)
+
+    def poll(self) -> Optional[Delivery]:
+        item = self.channel.take()
         return None if item is None else self._delivery(item)
 
     def _delivery(self, item) -> Delivery:
         return Delivery(item)
-
-    def wake(self) -> None:
-        self.channel.wake()
 
 
 # Engine-internal endpoints.  ``direct:`` invokes the target route inline on
@@ -490,7 +505,7 @@ class _ChannelConsumer(Consumer):
 
 
 class _DirectComponent(Component):
-    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Optional[Consumer]:
+    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Consumer:
         return _DirectConsumer(uri.path, route)
 
     def create_producer(self, uri: EndpointUri, engine: "RouteEngine", route_id: str) -> Producer:
@@ -498,13 +513,11 @@ class _DirectComponent(Component):
 
 
 class _DirectConsumer(Consumer):
-    pollable = False
-
     def __init__(self, name: str, route: "RouteService"):
         self.name = name
         self.route = route
 
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
         self.route.engine._register_direct(self.name, self.route)
 
     def stop(self) -> None:
@@ -524,7 +537,7 @@ class _DirectProducer(Producer):
 
 
 class _BufferedComponent(Component):
-    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Optional[Consumer]:
+    def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Consumer:
         return _ChannelConsumer(route.engine._buffer(uri.path))
 
     def create_producer(self, uri: EndpointUri, engine: "RouteEngine", route_id: str) -> Producer:
@@ -585,31 +598,30 @@ class _Bucket:
 
 class AggregateState:
     """Correlation buckets for one aggregate step of one route, in opening
-    order; ``schedule`` gets the deadline of each new timed bucket."""
+    order; ``schedule`` gets the deadline of each new timed bucket.  The
+    route's exchange lock serialises every offer and flush."""
 
     def __init__(self, step: Aggregate, schedule: Callable[[float], None] = lambda when: None):
         self.step = step
         self.schedule = schedule
         self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
-        self.lock = threading.Lock()
 
     def offer(self, x: Exchange) -> Optional[Exchange]:
         key = stringify(eval_expr(self.step.correlation, x))
         timeout_ms = self.step.completion_timeout_ms
-        with self.lock:
-            bucket = self.buckets.get(key)
-            if bucket is None:
-                bucket = self.buckets[key] = _Bucket()
-                if timeout_ms is not None:
-                    self.schedule(bucket.first_monotonic + timeout_ms / 1000.0)
-            bucket.exchanges.append(x)
-            if self.step.completion_size is not None:
-                size = self.step.completion_size
-                if isinstance(size, Expr):
-                    size = int(eval_expr(size, x))  # type: ignore[arg-type]
-                if len(bucket.exchanges) >= int(size):
-                    del self.buckets[key]
-                    return self.step.strategy.merge(bucket.exchanges)
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = _Bucket()
+            if timeout_ms is not None:
+                self.schedule(bucket.first_monotonic + timeout_ms / 1000.0)
+        bucket.exchanges.append(x)
+        if self.step.completion_size is not None:
+            size = self.step.completion_size
+            if isinstance(size, Expr):
+                size = int(eval_expr(size, x))  # type: ignore[arg-type]
+            if len(bucket.exchanges) >= int(size):
+                del self.buckets[key]
+                return self.step.strategy.merge(bucket.exchanges)
         return None
 
     def flush_expired(self) -> list[Exchange]:
@@ -617,14 +629,13 @@ class AggregateState:
             return []
         opened_by = time.monotonic() - self.step.completion_timeout_ms / 1000.0
         merged = []
-        with self.lock:
-            # Opening order is deadline order: stop at the first open bucket.
-            while self.buckets:
-                key, bucket = next(iter(self.buckets.items()))
-                if bucket.first_monotonic > opened_by:
-                    break
-                del self.buckets[key]
-                merged.append(self.step.strategy.merge(bucket.exchanges))
+        # Opening order is deadline order: stop at the first open bucket.
+        while self.buckets:
+            key, bucket = next(iter(self.buckets.items()))
+            if bucket.first_monotonic > opened_by:
+                break
+            del self.buckets[key]
+            merged.append(self.step.strategy.merge(bucket.exchanges))
         return merged
 
 
@@ -653,11 +664,10 @@ class RouteService:
             for i, step in enumerate(definition.steps)
             if isinstance(step, Aggregate)
         }
+        # Held by each step and each lifecycle change, which so waits out the
+        # exchange in flight.  Reentrant: a step may change its own route.
         self._exec_lock = threading.RLock()
-        self._state_changed = threading.Condition()
-        # Counts lifecycle transitions, so a parked worker can tell one happened.
-        self._transitions = 0
-        self._worker: Optional[threading.Thread] = None
+        self._queued = False
 
     @property
     def route_id(self) -> str:
@@ -666,22 +676,17 @@ class RouteService:
     # -- lifecycle --
 
     def start(self) -> None:
-        with self._state_changed:
+        with self._exec_lock:
             if self.state is not RouteState.STOPPED:
                 raise InvalidTransitionError(f"{self.route_id}: start from {self.state.value}")
             self._init_endpoints()
+            self._consumer.start(self._ready)
             self.state = RouteState.STARTED
             # A deadline that passed while the route was stopped flushed nothing.
             for agg in self._agg_states.values():
                 if agg.buckets:
                     agg.schedule(time.monotonic())
-            if self._consumer is not None:
-                self._consumer.start()
-                if self._consumer.pollable:
-                    self._worker = threading.Thread(
-                        target=self._poll_loop, name=f"route-{self.route_id}", daemon=True
-                    )
-                    self._worker.start()
+        self._ready()
         self.engine.log.emit(self.route_id, "lifecycle", detail="started")
 
     def suspend(self) -> None:
@@ -690,36 +695,20 @@ class RouteService:
 
     def resume(self) -> None:
         self._transition("resume", (RouteState.SUSPENDED,), RouteState.STARTED)
+        self._ready()
         self.engine.log.emit(self.route_id, "lifecycle", detail="resumed")
 
     def stop(self) -> None:
-        worker = self._transition(
-            "stop", (RouteState.STARTED, RouteState.SUSPENDED), RouteState.STOPPED
-        )
-        # From its own worker (a step stopping its route), the worker exits
-        # once the current exchange is done.
-        if worker is not None and worker is not threading.current_thread():
-            worker.join(timeout=2.0)
-        if self._consumer is not None:
+        with self._exec_lock:
+            self._transition("stop", (RouteState.STARTED, RouteState.SUSPENDED), RouteState.STOPPED)
             self._consumer.stop()
         self.engine.log.emit(self.route_id, "lifecycle", detail="stopped")
 
-    def _transition(
-        self, verb: str, allowed: tuple[RouteState, ...], to: RouteState
-    ) -> Optional[threading.Thread]:
-        """Change state, wake the worker, and hand it back."""
-        with self._state_changed:
+    def _transition(self, verb: str, allowed: tuple[RouteState, ...], to: RouteState) -> None:
+        with self._exec_lock:
             if self.state not in allowed:
                 raise InvalidTransitionError(f"{self.route_id}: {verb} from {self.state.value}")
             self.state = to
-            self._transitions += 1
-            self._state_changed.notify_all()
-            worker = self._worker
-            if to is RouteState.STOPPED:
-                self._worker = None
-        if self._consumer is not None:
-            self._consumer.wake()
-        return worker
 
     def _init_endpoints(self) -> None:
         # Producers first: a start that failed on one is completed by the next.
@@ -740,23 +729,30 @@ class RouteService:
 
     # -- execution --
 
-    def _poll_loop(self) -> None:
-        while True:
-            with self._state_changed:
-                self._state_changed.wait_for(lambda: self.state is not RouteState.SUSPENDED)
-                if self.state is RouteState.STOPPED:
-                    return
-                seen = self._transitions
+    def _ready(self) -> None:
+        """Put the route on its engine's run queue unless it is there (any thread).
+
+        The flag is set just before the put and cleared by the loop just before
+        the poll, so it is never left set with the route off the queue; two
+        racing callers at worst queue the route twice, an idle turn."""
+        if not self._queued:
+            self._queued = True
+            self.engine._runnable.put(self)
+
+    def _step(self) -> None:
+        """One loop turn: poll the consumer once and run what it gave."""
+        self._queued = False
+        with self._exec_lock:
+            if self.state is not RouteState.STARTED:
+                return  # suspended or stopped: a resume or start readies it again
             try:
-                delivery = self._consumer.poll(lambda: self.state is RouteState.STARTED)
+                delivery = self._consumer.poll()
             except Exception:
                 logger.exception("route %s: consumer poll failed", self.route_id)
                 self.engine.log.emit(self.route_id, "error", detail="consumer poll failed")
-                # Park until the next suspend, resume or stop; never retry on a timer.
-                with self._state_changed:
-                    self._state_changed.wait_for(lambda: self._transitions != seen)
-                continue
+                return  # off the queue until its consumer or a resume readies it
             if delivery is not None:
+                self._ready()
                 self.process(delivery.exchange, delivery.reply)
 
     def process(self, exchange: Exchange, reply: Optional[Future] = None) -> None:
@@ -850,10 +846,10 @@ class RouteService:
     def _flush_expired(self, index: int) -> None:
         """Send the expired buckets of the aggregate at ``index`` down the
         rest of the route."""
-        if self.state is RouteState.STOPPED:
-            return
-        for merged in self._agg_states[index].flush_expired():
-            with self._exec_lock:
+        with self._exec_lock:
+            if self.state is RouteState.STOPPED:
+                return
+            for merged in self._agg_states[index].flush_expired():
                 try:
                     self._run(merged, index + 1)
                 except Exception as exc:
@@ -877,10 +873,12 @@ class RouteEngine:
         self._direct: dict[str, RouteService] = {}
         self._buffers: dict[str, Channel] = {}
         self._lock = threading.Lock()
-        self._ticker: Optional[threading.Thread] = None
-        self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap
+        self._loop: Optional[threading.Thread] = None
+        # Ready routes, and None to wake the loop.  Not a SimpleQueue: in CPython
+        # 3.11 its get() with a timeout of a few microseconds can block forever.
+        self._runnable: Queue[Optional[RouteService]] = Queue()
+        self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap, under _lock
         self._due_seq = itertools.count()
-        self._due_changed = threading.Condition()
         self._shutdown = False
 
     # -- configuration --
@@ -907,7 +905,7 @@ class RouteEngine:
 
     def run_route(self, definition: RouteDefinition) -> RouteService:
         service = self.add_route(definition)
-        self._ensure_ticker()
+        self._start_loop()
         service.start()
         return service
 
@@ -915,27 +913,25 @@ class RouteEngine:
         return self._services[route_id]
 
     def start(self) -> None:
-        self._ensure_ticker()
+        self._start_loop()
         for service in list(self._services.values()):
             if service.state is RouteState.STOPPED:
                 service.start()
 
     def stop(self) -> None:
-        with self._due_changed:
-            self._shutdown = True
-            self._due_changed.notify_all()
+        self._shutdown = True
+        self._runnable.put(None)
         for service in list(self._services.values()):
             if service.state is not RouteState.STOPPED:
                 service.stop()
-        if self._ticker is not None:
-            self._ticker.join(timeout=1.0)
-            self._ticker = None
+        if self._loop is not None:
+            self._loop.join(timeout=1.0)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the tick thread once ``time.monotonic()`` reaches ``when``."""
-        with self._due_changed:
+        """Run ``fn`` on the loop once ``time.monotonic()`` reaches ``when``."""
+        with self._lock:
             heapq.heappush(self._due, (when, next(self._due_seq), fn))
-            self._due_changed.notify()
+        self._runnable.put(None)  # the loop recomputes its wait
 
     # -- plumbing used by endpoints --
 
@@ -965,28 +961,29 @@ class RouteEngine:
                 self._buffers[name] = q
             return q
 
-    def _ensure_ticker(self) -> None:
-        if self._ticker is None or not self._ticker.is_alive():
+    def _start_loop(self) -> None:
+        if self._loop is None or not self._loop.is_alive():
             self._shutdown = False
-            self._ticker = threading.Thread(
-                target=self._tick_loop, name=f"{self.name}-tick", daemon=True
+            self._loop = threading.Thread(
+                target=self._run_loop, name=f"{self.name}-loop", daemon=True
             )
-            self._ticker.start()
+            self._loop.start()
 
-    def _tick_loop(self) -> None:
-        while True:
-            with self._due_changed:
-                while not self._shutdown and (
-                    not self._due or self._due[0][0] > time.monotonic()
-                ):
-                    self._due_changed.wait(
-                        self._due[0][0] - time.monotonic() if self._due else None
-                    )
-                if self._shutdown:
-                    return
-                fn = heapq.heappop(self._due)[2]
+    def _run_loop(self) -> None:
+        while not self._shutdown:
+            with self._lock:
+                wait = self._due[0][0] - time.monotonic() if self._due else None
+                fn = heapq.heappop(self._due)[2] if wait is not None and wait <= 0 else None
+            if fn is None:
+                try:
+                    route = self._runnable.get(timeout=wait)
+                except Empty:
+                    continue  # the next deadline is due
+                if route is None:
+                    continue  # a wake-up: recompute the wait
+                fn = route._step
             try:
                 fn()
             except Exception:
-                logger.exception("engine %s: scheduled call failed", self.name)
-                self.log.emit(self.name, "error", detail="scheduled call failed")
+                logger.exception("engine %s: loop turn failed", self.name)
+                self.log.emit(self.name, "error", detail="loop turn failed")

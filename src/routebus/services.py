@@ -11,7 +11,8 @@
 * ``table:DATASOURCE`` -- table store answering ``SELECT col[, col] FROM t``.
 * ``timer:NAME?delay=&period=`` -- emits empty exchanges on a schedule.
 
-All services are safe for concurrent access from route and agent threads.
+All services are safe for concurrent access from engine loops and agent
+threads.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ class _BrokerTopicConsumer(_ChannelConsumer):
         self._service = service
         self._name = name
 
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
         self.channel = self._service.subscribe_topic(self._name)
+        super().start(ready)
 
     def stop(self) -> None:
         self._service.unsubscribe_topic(self._name, self.channel)
@@ -387,8 +389,9 @@ class _CoordWatchConsumer(_ChannelConsumer):
         self._path = path
         self._repeat = repeat
 
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
         self.channel = self._service.watch_children(self._path, self._repeat)
+        super().start(ready)
 
     def stop(self) -> None:
         self._service.unwatch(self._path, self.channel)
@@ -453,8 +456,8 @@ class MailStore:
     def __init__(self):
         self._accounts: dict[str, dict[str, list[MailMessage]]] = {}
         self._seq = itertools.count(1)
+        self._listeners: dict[str, set[Callable[[], None]]] = {}
         self._lock = threading.Lock()
-        self._arrived = threading.Condition(self._lock)
 
     def add_account(self, name: str) -> None:
         with self._lock:
@@ -465,7 +468,8 @@ class MailStore:
             return sorted(self._accounts)
 
     def deliver(self, to: Sequence[str], from_addr: str, subject: str, body: str) -> list[str]:
-        """One copy per recipient inbox; recipient accounts are created on demand."""
+        """One copy per recipient inbox; recipient accounts are created on
+        demand.  Each recipient's listeners are called after its copy lands."""
         ids = []
         recipients = tuple(to)
         with self._lock:
@@ -474,19 +478,13 @@ class MailStore:
                 mail = MailMessage(str(next(self._seq)), from_addr, subject, recipients, body)
                 folders["inbox"].append(mail)
                 ids.append(mail.id)
-            self._arrived.notify_all()
+                for ready in self._listeners.get(recipient, ()):
+                    ready()
         return ids
 
-    def wait_unread(self, account: str, live: Callable[[], bool]) -> bool:
-        """Block until ``account`` has unread mail (True) or ``live()`` is
-        false (False).  The account need not exist yet."""
-        with self._arrived:
-            while live():
-                folders = self._accounts.get(account)
-                if folders is not None and any(m.unread for m in folders["inbox"]):
-                    return True
-                self._arrived.wait()
-        return False
+    def listen(self, account: str, ready: Callable[[], None]) -> None:
+        with self._lock:
+            self._listeners.setdefault(account, set()).add(ready)
 
     def poll(self, account: str, delete: bool = False, copy_to: Optional[str] = None) -> list[MailMessage]:
         with self._lock:
@@ -519,11 +517,17 @@ class _MailConsumer(Consumer):
         self._copy_to = copy_to
         self._pending: list[MailMessage] = []
 
-    def poll(self, live: Callable[[], bool]) -> Optional[Delivery]:
-        while not self._pending:
-            if not self._store.wait_unread(self._account, live):
+    def start(self, ready: Callable[[], None]) -> None:
+        self._store.listen(self._account, ready)
+
+    def poll(self) -> Optional[Delivery]:
+        if not self._pending:
+            try:
+                self._pending = self._store.poll(self._account, self._delete, self._copy_to)
+            except UnknownAccountError:
+                return None  # no delivery has created the account yet
+            if not self._pending:
                 return None
-            self._pending = self._store.poll(self._account, self._delete, self._copy_to)
         mail = self._pending.pop(0)
         exchange = new_exchange(
             ExchangePattern.IN_ONLY,
@@ -531,10 +535,6 @@ class _MailConsumer(Consumer):
             {"from": mail.from_addr, "subject": mail.subject, "id": mail.id},
         )
         return Delivery(exchange)
-
-    def wake(self) -> None:
-        with self._store._arrived:
-            self._store._arrived.notify_all()
 
 
 def _recipients_from_header(value) -> list[str]:
@@ -698,8 +698,8 @@ class TableComponent(Component):
 
 
 class _TimerConsumer(_ChannelConsumer):
-    """Fires through the engine's scheduler into the channel of the current
-    start; a call scheduled before a stop finds that channel gone."""
+    """Fires through the engine's loop (``call_at``) into the channel of the
+    current start; a call scheduled before a stop finds that channel gone."""
 
     def __init__(self, engine: RouteEngine, delay_ms: int, period_ms: Optional[int]):
         super().__init__()
@@ -707,8 +707,9 @@ class _TimerConsumer(_ChannelConsumer):
         self._delay = delay_ms / 1000.0
         self._period = period_ms / 1000.0 if period_ms is not None else None
 
-    def start(self) -> None:
+    def start(self, ready: Callable[[], None]) -> None:
         self.channel = Channel()
+        super().start(ready)
         self._fire_at(time.monotonic() + self._delay, self.channel)
 
     def stop(self) -> None:

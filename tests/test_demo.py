@@ -271,7 +271,12 @@ def test_scenario_stop_leaves_no_threads():
     before = set(threading.enumerate())
     scenario = Scenario(ScenarioConfig.default())
     scenario.start()
-    assert set(threading.enumerate()) - before
+    # One loop thread per engine and one thread per agent.
+    assert {t.name for t in set(threading.enumerate()) - before} == {
+        "main-loop",
+        "agent-main__alice",
+        "agent-main__bob",
+    }
     scenario.stop()
     assert [t.name for t in threading.enumerate() if t not in before] == []
 

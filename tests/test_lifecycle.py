@@ -1,6 +1,7 @@
-"""Blocking waits: every consumer kind wakes on a delivery or a lifecycle
-change, the engine's deadline scheduler runs due calls in order, and a
-failing poll parks its worker instead of retrying."""
+"""The engine loop: every consumer kind readies its route on a delivery and
+honours suspend, resume and stop, the loop runs due calls in deadline order,
+a failing poll leaves its route off the run queue instead of retrying, and
+an engine stopped and started again runs its routes and deadlines."""
 
 import sys
 import threading
@@ -15,7 +16,6 @@ from routebus.messages import new_exchange
 from routebus.routing import (
     Aggregate,
     AggregateState,
-    Channel,
     Component,
     Consumer,
     ListAppend,
@@ -146,7 +146,7 @@ class _FailingConsumer(Consumer):
     def __init__(self):
         self.polls = 0
 
-    def poll(self, live):
+    def poll(self):
         self.polls += 1
         raise RuntimeError("source unavailable")
 
@@ -185,6 +185,55 @@ def test_failing_poll_logs_once_and_parks_until_state_changes(engine):
     assert not [t for t in threading.enumerate() if t.name == "route-f"]
 
 
+def test_stop_waits_for_the_exchange_in_flight(engine):
+    entered, release = threading.Event(), threading.Event()
+
+    def block(x):
+        entered.set()
+        release.wait(5)
+        engine.log.emit("r", "step-done", x.id)
+
+    rb = RouteBuilder()
+    rb.from_("buffered:in", route_id="r").process(block, "block")
+    (ctl,) = engine.add_routes(rb)
+    engine._buffer("in").put(new_exchange(body="x"))
+    assert entered.wait(2)
+    stopper = threading.Thread(target=ctl.stop)
+    stopper.start()
+    stopper.join(0.2)
+    assert stopper.is_alive()  # stop() waits while the step runs
+    release.set()
+    stopper.join(2)
+    assert not stopper.is_alive()
+    events = [(r.event, r.detail) for r in engine.log.records() if r.route_id == "r"]
+    assert events.index(("step-done", "")) < events.index(("lifecycle", "stopped"))
+
+
+def test_engine_stopped_and_started_again_runs_routes_and_deadlines(engine):
+    engine.add_component("timer", TimerComponent())
+    rb = RouteBuilder()
+    rb.from_("buffered:in", route_id="relay").to("buffered:got")
+    (
+        rb.from_("buffered:timed", route_id="agg")
+        .aggregate(header("k"), ListAppend())
+        .completion_timeout(100)
+        .to("buffered:flushed")
+    )
+    rb.from_("timer:t?delay=50", route_id="tick").to("buffered:ticked")
+    engine.add_routes(rb)
+    engine.stop()
+    engine._buffer("ticked").queue.clear()  # a tick of the first start
+    engine.start()
+
+    engine._buffer("in").put(new_exchange(body="x"))
+    assert engine._buffer("got").get(timeout=2).in_msg.body == "x"
+    t0 = time.monotonic()
+    engine._buffer("timed").put(new_exchange(body="y", headers={"k": "1"}))
+    assert engine._buffer("flushed").get(timeout=2).in_msg.body == ["y"]
+    assert time.monotonic() - t0 >= 0.09
+    assert engine._buffer("ticked").get(timeout=2) is not None
+
+
 # --- deadline scheduler ------------------------------------------------------------
 
 
@@ -213,6 +262,23 @@ def test_scheduled_call_that_raises_does_not_stop_the_scheduler(engine):
     assert engine.log.events(event="error", route_id=engine.name)
 
 
+def test_deadlines_microseconds_apart_never_stall_the_loop(engine):
+    # Each call schedules the next 10 us ahead, so the loop keeps waiting for
+    # its next deadline with a timeout of a few microseconds; none may hang.
+    engine.start()
+    ticks, done = [0], threading.Event()
+
+    def tick():
+        ticks[0] += 1
+        if ticks[0] == 20000:
+            done.set()
+        else:
+            engine.call_at(time.monotonic() + 1e-5, tick)
+
+    engine.call_at(time.monotonic(), tick)
+    assert done.wait(20), f"stalled after {ticks[0]} calls"
+
+
 def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired():
     scheduled = []
     step = Aggregate(header("k"), ListAppend(), completion_timeout_ms=100)
@@ -232,40 +298,41 @@ def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired(
 # --- channel under contention --------------------------------------------------------
 
 
-def test_channel_delivers_each_item_once_and_wakes_every_taker():
-    channel = Channel()
-    live = threading.Event()
-    live.set()
-    taken = []
-    lock = threading.Lock()
-
-    def take_all():
-        while True:
-            item = channel.take(live.is_set)
-            if item is None:
-                return
-            with lock:
-                taken.append(item)
+def test_competing_consumers_on_two_engines_take_each_item_once():
+    broker = BrokerService()
+    engines = [RouteEngine(name=f"e{k}") for k in range(2)]
+    for k, eng in enumerate(engines):
+        eng.add_component("broker", BrokerComponent(broker))
+        rb = RouteBuilder()
+        rb.from_("broker:queue:q", route_id=f"take-{k}").to("buffered:out")
+        eng.add_routes(rb)
 
     def put_range(start):
         for i in range(start, start + 1000):
-            channel.put(i)
+            broker.send_queue("q", new_exchange(body=i))
+
+    def taken():
+        bodies = []
+        for eng in engines:
+            out = eng._buffer("out")
+            with out.mutex:
+                bodies += [x.in_msg.body for x in out.queue]
+        return bodies
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        takers = [threading.Thread(target=take_all) for _ in range(4)]
         putters = [threading.Thread(target=put_range, args=(k * 1000,)) for k in range(3)]
-        for t in takers + putters:
+        for t in putters:
             t.start()
         for t in putters:
             t.join(timeout=10)
-        assert wait_for(lambda: len(taken) == 3000, timeout=10)
-        live.clear()
-        channel.wake()
-        for t in takers:
-            t.join(timeout=2)
-        assert not any(t.is_alive() for t in takers + putters)
+        assert not any(t.is_alive() for t in putters)
+        # A lost ready signal would leave items on the queue for good.
+        assert wait_for(lambda: len(taken()) >= 3000, timeout=10)
     finally:
         sys.setswitchinterval(old)
-    assert sorted(taken) == list(range(3000))
+        for eng in engines:
+            eng.stop()
+    assert sorted(taken()) == list(range(3000))
+    assert all(eng._buffer("out").qsize() for eng in engines)
