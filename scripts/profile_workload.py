@@ -10,10 +10,10 @@ generator thread, which performs each at its due time, and waits until every
 mail has an outcome.
 
 Plain ``cProfile`` sees only the thread that enables it, and the program's
-work runs on each engine's loop thread (``<engine>-loop``) and on the agent
-threads (``agent-<name>``).  So ``threading.setprofile`` gives each thread the
-scenario starts a ``cProfile.Profile`` of its own; the profiles are merged
-when the scenario has stopped.  Each profiler reads its thread's CPU clock,
+work runs on each engine's loop thread (``<engine>-loop``), agent cycles
+included; there are no agent threads.  So ``threading.setprofile`` gives each
+thread the scenario starts a ``cProfile.Profile`` of its own; the profiles are
+merged when the scenario has stopped.  Each profiler reads its thread's CPU clock,
 so time a thread spends blocked in a wait is not counted.  The merged
 profile covers the whole scenario, start-up included; the CPU time per mail
 covers the mails alone and is measured with the profilers on, so it reads

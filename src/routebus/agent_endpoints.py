@@ -11,12 +11,14 @@ overriding the URI parameters field by field.
 from __future__ import annotations
 
 import re
+import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from typing import Callable, Optional, Union
 
 from .agents import (
+    ActionTimeoutError,
     AgentContainer,
     AgentId,
     AgentMessage,
@@ -434,10 +436,11 @@ def produce_percept(container: AgentContainer, cfg: AgentEndpointConfig, x: Exch
 class _AgentConsumer(_ChannelConsumer):
     """Registered with the container while the route runs; feeds its channel."""
 
-    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig):
-        super().__init__(Channel(maxsize=1024))
+    def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig, engine: RouteEngine):
+        super().__init__(Channel())
         self.container = container
         self.cfg = cfg
+        self.engine = engine
 
     def start(self, ready: Callable[[], None]) -> None:
         super().start(ready)
@@ -464,16 +467,34 @@ class _AgentConsumer(_ChannelConsumer):
         actor: AgentId,
         term: ActionTerm,
         mode: ActionMode,
-        reply: Optional[Future] = None,
+        bound: Optional[Future] = None,
     ) -> Optional[Exchange]:
+        """Queue the action's exchange, or return None when a selector rejects
+        it.  ``bound``, for a synchronous action, is settled on this route's
+        engine: with the term bound from a reply in time, else as timed out."""
         exchange = consume_agent_action(self.cfg, actor, term, mode)
         if exchange is None:
             return None
+        reply = None
+        if bound is not None:
+            deadline = time.monotonic() + mode.timeout_ms / 1000.0
+            reply = lambda outcome: self._settle(bound, term, deadline, outcome)
+            self.engine.call_at(deadline, lambda: reply(None))
         self.channel.put(Delivery(exchange, reply))
         return exchange
 
-    def complete(self, reply: Exchange, term: ActionTerm) -> ActionTerm:
-        return complete_sync_action(self.cfg, reply, term)
+    def _settle(self, bound: Future, term: ActionTerm, deadline: float, outcome) -> None:
+        """Settle ``bound`` once, as timed out when ``outcome`` is None or late."""
+        if bound.done():
+            return
+        try:
+            if outcome is None or time.monotonic() >= deadline:
+                raise ActionTimeoutError(render_term(term.literal))
+            if isinstance(outcome, Exception):
+                raise outcome
+            bound.set_result(complete_sync_action(self.cfg, outcome, term))
+        except Exception as exc:
+            bound.set_exception(exc)
 
 
 class _AgentProducer(Producer):
@@ -496,7 +517,7 @@ class AgentComponent(Component):
 
     def create_consumer(self, uri: EndpointUri, route) -> Consumer:
         cfg = AgentEndpointConfig.from_uri(uri, "consumer")
-        return _AgentConsumer(self.container, cfg)
+        return _AgentConsumer(self.container, cfg, route.engine)
 
     def create_producer(self, uri: EndpointUri, engine: RouteEngine, route_id: str) -> Producer:
         cfg = AgentEndpointConfig.from_uri(uri, "producer")

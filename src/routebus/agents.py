@@ -7,8 +7,10 @@ semantics, agent naming (``containerId__localName``) and the endpoint
 contracts are kept rich enough that a full reasoning engine could be slotted
 in behind the same container interface.
 
-Each agent runs on its own thread; inboxes and percept queues take writes from
-any endpoint thread and are drained only by the owning agent's cycle.
+A started container runs each agent's cycle as a turn on its engine's loop
+when a message or percept arrives; inboxes and percept queues take writes from
+any thread.  A synchronous action suspends its cycle until the reply, while
+the container's other agents keep cycling.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import itertools
 import logging
 import threading
 from collections import deque
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .routing import EventLog
+from .routing import EventLog, RouteEngine
 from .terms import (
     ActionTerm,
     Literal,
@@ -201,8 +203,10 @@ class AgentState:
         self.transient: deque[PerceptEntry] = deque()
         self.persistent: list[PerceptEntry] = []
         self.lock = threading.Lock()
-        self.signal = threading.Event()
         self.started = False
+        self.submit: Callable[[], None] = lambda: None  # queues a turn once started
+        self.queued = False
+        self.cycle: Optional[Iterator] = None  # a cycle waiting for an action's reply
 
     @property
     def full_name(self) -> str:
@@ -210,10 +214,17 @@ class AgentState:
 
     # -- writes (any thread) --
 
+    def ready(self) -> None:
+        """Queue this agent's turn unless it is queued; the turn clears the flag
+        before its cycle drains, so input arriving mid-cycle queues the next."""
+        if not self.queued:
+            self.queued = True
+            self.submit()
+
     def enqueue_message(self, msg: AgentMessage) -> None:
         with self.lock:
             self.inbox.append(msg)
-        self.signal.set()
+        self.ready()
 
     def add_percept(self, literal: Literal, persistence: Persistence, mode: UpdateMode) -> None:
         with self.lock:
@@ -227,7 +238,7 @@ class AgentState:
                 if any(e.literal == literal for e in self.persistent):
                     return
                 self.persistent.append(PerceptEntry(literal))
-        self.signal.set()
+        self.ready()
 
     def _remove_same_shape(self, literal: Literal) -> None:
         f, n = functor_of(literal), len(args_of(literal))
@@ -308,8 +319,6 @@ class AgentContainer:
         self._action_bindings: list = []
         self._bindings_lock = threading.Lock()
         self._msg_seq = itertools.count(1)
-        self._threads: dict[str, threading.Thread] = {}
-        self._running = threading.Event()
         self._cycled = threading.Condition()
 
     # -- agents --
@@ -321,45 +330,49 @@ class AgentContainer:
         self.agents[agent.full_name] = agent
         return agent
 
-    def start(self) -> None:
-        self._running.set()
+    def start(self, engine: RouteEngine) -> None:
+        """Cycle the agents on ``engine``'s loop, each first for its startup rules."""
         for agent in self.agents.values():
-            if agent.full_name in self._threads:
-                continue
-            t = threading.Thread(
-                target=self._agent_loop, args=(agent,), name=f"agent-{agent.full_name}", daemon=True
-            )
-            self._threads[agent.full_name] = t
-            t.start()
+            agent.submit = lambda agent=agent: engine.submit(lambda: self._turn(agent))
+            agent.queued = True
+            agent.submit()
         self.log.emit(f"container:{self.container_id}", "lifecycle", detail="started")
 
     def stop(self) -> None:
-        self._running.clear()
         for agent in self.agents.values():
-            agent.signal.set()
-        for t in self._threads.values():
-            t.join(timeout=2.0)
-        self._threads.clear()
+            agent.submit = lambda: None
         self.log.emit(f"container:{self.container_id}", "lifecycle", detail="stopped")
 
-    def _agent_loop(self, agent: AgentState) -> None:
-        while True:
-            self.run_cycle(agent)  # the first cycle fires the startup rules
-            with self._cycled:
-                self._cycled.notify_all()
-            agent.signal.wait()
-            agent.signal.clear()
-            if not self._running.is_set():
-                return
+    def _turn(self, agent: AgentState) -> None:
+        agent.queued = False
+        waited = agent.cycle is not None
+        self.run_cycle(agent)
+        if waited and agent.cycle is None:
+            agent.ready()  # for input that arrived while the cycle waited
+        with self._cycled:
+            self._cycled.notify_all()
 
     def wait_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
-        """Block until ``predicate()`` holds, checked after every agent cycle."""
+        """Block until ``predicate()`` holds, checked after every agent turn."""
         with self._cycled:
             return self._cycled.wait_for(predicate, timeout)
 
     # -- reasoning cycle --
 
     def run_cycle(self, agent: AgentState) -> list[AgentEffect]:
+        """Run the agent's cycle (see ``_cycle``) until it ends or waits for a
+        synchronous action's reply, after which the next call goes on with it.
+        Returns the effects that ran in this call."""
+        agent.cycle = agent.cycle or self._cycle(agent)
+        effects: list[AgentEffect] = []
+        for fired in agent.cycle:
+            if fired is None:
+                return effects  # the reply readies the agent
+            effects += fired
+        agent.cycle = None
+        return effects
+
+    def _cycle(self, agent: AgentState) -> Iterator[Optional[list[AgentEffect]]]:
         """One cycle over the startup event (first cycle only, payload None),
         then the drained percepts, then the drained messages, each in arrival
         order.
@@ -367,20 +380,19 @@ class AgentContainer:
         Each event fires its matching rules in rule order, and a rule's
         effects run before the next rule fires, so a hook sees what earlier
         hooks stored and what their actions returned.  Hook errors are logged
-        and skip only the offending rule.  Returns the effects that ran.
+        and skip only the offending rule.  Yields each rule's effects once
+        they ran, and None while it waits for an action's reply.
         """
         transients, novel_persistents, messages = agent.drain_for_cycle()
         startup = [] if agent.started else [None]
         agent.started = True
         percepts = [e.literal for e in (*transients, *novel_persistents)]
-        effects: list[AgentEffect] = []
         for event in [*startup, *percepts, *messages]:
             for rule in agent.behaviors:
                 if _triggers(rule.trigger, event):
                     fired = self._fire(agent, rule, event)
-                    self._execute(agent, fired)
-                    effects += fired
-        return effects
+                    yield from self._execute(agent, fired)
+                    yield fired
 
     def _fire(self, agent: AgentState, rule: BehaviorRule, payload) -> list[AgentEffect]:
         try:
@@ -394,7 +406,7 @@ class AgentContainer:
             )
             return []
 
-    def _execute(self, agent: AgentState, effects: list[AgentEffect]) -> None:
+    def _execute(self, agent: AgentState, effects: list[AgentEffect]) -> Iterator[None]:
         for effect in effects:
             try:
                 if isinstance(effect, SendMessage):
@@ -409,6 +421,11 @@ class AgentContainer:
                     self.route_local_message(msg)
                 elif isinstance(effect, PerformAction):
                     result = self.perform_action(agent, effect.term, effect.mode)
+                    if isinstance(result, Future):
+                        result.add_done_callback(lambda _: agent.ready())
+                        while not result.done():
+                            yield None
+                        result = result.result()
                     if effect.on_result is not None:
                         effect.on_result(agent, result)
             except Exception:
@@ -506,10 +523,10 @@ class AgentContainer:
         """Dispatch an action to matching action-consumer endpoints.
 
         Asynchronous actions must be ground; they are offered to every
-        matching endpoint and succeed immediately.  Synchronous actions go to
-        the first registered matching endpoint only, as a request/reply
-        exchange; the reply's mapped headers are bound onto the term's
-        variables.
+        matching endpoint and return True.  A synchronous action goes to the
+        first registered matching endpoint only, as a request/reply exchange,
+        and returns a ``Future`` of the term with the reply's mapped headers
+        bound onto its variables, or of ``ActionTimeoutError``.
         """
         with self._bindings_lock:
             bindings = list(self._action_bindings)
@@ -526,14 +543,8 @@ class AgentContainer:
                 raise NoMatchingEndpointError(render_term(term.literal))
             return True
         # Synchronous: first registered matching endpoint wins.
-        reply_to: Future = Future()
+        bound: Future = Future()
         for binding in bindings:
-            if binding.offer_action(agent.id, term, mode, reply_to) is not None:
-                break
-        else:
-            raise NoMatchingEndpointError(render_term(term.literal))
-        try:
-            reply = reply_to.result(mode.timeout_ms / 1000.0)
-        except FutureTimeoutError as exc:
-            raise ActionTimeoutError(render_term(term.literal)) from exc
-        return binding.complete(reply, term)
+            if binding.offer_action(agent.id, term, mode, bound) is not None:
+                return bound
+        raise NoMatchingEndpointError(render_term(term.literal))

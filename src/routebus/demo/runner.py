@@ -116,8 +116,8 @@ class Scenario:
         self._started = True
         for engine in self.engines.values():
             engine.start()
-        for container in self.containers.values():
-            container.start()
+        for name, container in self.containers.items():
+            container.start(self.engines[name])
         if "use_case" in self.config.route_sets:
             self._await_readiness()
             self._start_mail_routes()

@@ -5,14 +5,14 @@ pipeline of processors (set-header/set-body, filter, multicast, split,
 aggregate, idempotent-consumer, custom hooks), ending at producer endpoints.
 
 Execution model: each engine runs one loop thread, ``<engine>-loop``, with a
-FIFO run queue of routes that their consumers readied and the deadlines of
-``RouteEngine.call_at``.  A turn runs a due call or polls the next ready
-route's consumer once and runs that one exchange, so routes and deadlines
-stay fair under load.  ``direct:`` producers run the target route's pipeline
-inline on the caller's context; ``buffered:`` producers enqueue a copy and
-return.  Each aggregate step has one bucket state, made with the route.  A
-timed bucket is flushed at its deadline on the loop, and the merged exchange
-continues at the step after that aggregate, as a completed bucket does.
+FIFO run queue of turns and the deadlines of ``RouteEngine.call_at``.  It runs
+a due call first, else the next turn: a readied route polls its consumer once
+and runs that one exchange, an agent runs one cycle; so routes, agents and
+deadlines stay fair under load.  ``direct:`` producers run the target route's
+pipeline inline on the caller's context; ``buffered:`` producers enqueue a
+copy and return.  Each aggregate step has one bucket state, made with the
+route.  A timed bucket is flushed at its deadline on the loop, and the merged
+exchange continues at the step after that aggregate, as a completed one does.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
 from queue import Empty, Queue
@@ -405,7 +404,8 @@ class EventLog:
 @dataclass
 class Delivery:
     exchange: Exchange
-    reply: Optional["Future[Exchange]"] = None
+    # Gets the final exchange or the exception that failed it; must not raise.
+    reply: Optional[Callable[[Union[Exchange, Exception]], None]] = None
 
 
 class Consumer:
@@ -447,22 +447,15 @@ class Component:
 
 
 class Channel(Queue):
-    """A FIFO queue that calls each of its listeners after every put.
+    """An unbounded FIFO queue that calls each of its listeners after every put.
 
     A route consumes a channel by listening with its ``ready`` and taking one
-    item per loop turn.  Two invariants keep an engine's single loop thread
-    from deadlocking:
-
-    * a step never waits for work on its own engine, since only the loop that
-      waits could do that work;
-    * the loop never puts into a bounded channel that it drains.  Only the
-      ``agent:`` consumer channels (``maxsize=1024``) are bounded, and only
-      agent threads put into them.
+    item per loop turn.  Its loop may also fill it, from a step or an agent
+    cycle, so it has no bound to wait on; and no step or cycle waits for work
+    on its own engine, since only the loop that waits could do that work.
     """
 
-    def __init__(self, maxsize: int = 0):
-        super().__init__(maxsize)
-        self.listeners: frozenset[Callable[[], None]] = frozenset()
+    listeners: frozenset[Callable[[], None]] = frozenset()
 
     def listen(self, ready: Callable[[], None]) -> None:
         """Copy on write, so ``put`` reads the listeners without the lock."""
@@ -477,10 +470,7 @@ class Channel(Queue):
     def take(self):
         """The next item, or None when the channel is empty; never blocks."""
         with self.mutex:
-            if not self._qsize():
-                return None
-            self.not_full.notify()
-            return self._get()
+            return self._get() if self._qsize() else None
 
 
 class _ChannelConsumer(Consumer):
@@ -737,7 +727,7 @@ class RouteService:
         racing callers at worst queue the route twice, an idle turn."""
         if not self._queued:
             self._queued = True
-            self.engine._runnable.put(self)
+            self.engine.submit(self._step)
 
     def _step(self) -> None:
         """One loop turn: poll the consumer once and run what it gave."""
@@ -755,15 +745,14 @@ class RouteService:
                 self._ready()
                 self.process(delivery.exchange, delivery.reply)
 
-    def process(self, exchange: Exchange, reply: Optional[Future] = None) -> None:
+    def process(self, exchange: Exchange, reply: Optional[Callable] = None) -> None:
         try:
-            final = self._receive(exchange)
-            if reply is not None:
-                reply.set_result(final)
+            outcome: Union[Exchange, Exception] = self._receive(exchange)
         except Exception as exc:
             self._log_failure(exchange, exc)
-            if reply is not None:
-                reply.set_exception(exc)
+            outcome = exc
+        if reply is not None:
+            reply(outcome)
 
     def process_inline(self, exchange: Exchange) -> None:
         """Run the pipeline on the caller's context (``direct:`` semantics)."""
@@ -874,9 +863,9 @@ class RouteEngine:
         self._buffers: dict[str, Channel] = {}
         self._lock = threading.Lock()
         self._loop: Optional[threading.Thread] = None
-        # Ready routes, and None to wake the loop.  Not a SimpleQueue: in CPython
+        # Queued turns, and None to wake the loop.  Not a SimpleQueue: in CPython
         # 3.11 its get() with a timeout of a few microseconds can block forever.
-        self._runnable: Queue[Optional[RouteService]] = Queue()
+        self._runnable: Queue[Optional[Callable[[], None]]] = Queue()
         self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap, under _lock
         self._due_seq = itertools.count()
         self._shutdown = False
@@ -927,6 +916,10 @@ class RouteEngine:
         if self._loop is not None:
             self._loop.join(timeout=1.0)
 
+    def submit(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` as one turn on the loop, after the turns queued before it."""
+        self._runnable.put(fn)
+
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the loop once ``time.monotonic()`` reaches ``when``."""
         with self._lock:
@@ -976,12 +969,11 @@ class RouteEngine:
                 fn = heapq.heappop(self._due)[2] if wait is not None and wait <= 0 else None
             if fn is None:
                 try:
-                    route = self._runnable.get(timeout=wait)
+                    fn = self._runnable.get(timeout=wait)
                 except Empty:
                     continue  # the next deadline is due
-                if route is None:
+                if fn is None:
                     continue  # a wake-up: recompute the wait
-                fn = route._step
             try:
                 fn()
             except Exception:

@@ -399,7 +399,7 @@ def test_criterion_2_account_query_action():
         agent = container.add_agent("alice")
         action = ActionTerm(parse_term("get_email_accounts(Accounts)"))
         t0 = time.monotonic()
-        result = container.perform_action(agent, action, Sync(2000))
+        result = container.perform_action(agent, action, Sync(2000)).result()
         latency_ms = (time.monotonic() - t0) * 1000
         assert render_term(result.literal) == 'get_email_accounts(["a@x","b@x","c@x"])'
         assert latency_ms < 100, f"round trip took {latency_ms:.1f} ms"

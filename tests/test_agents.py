@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import pytest
@@ -219,10 +221,11 @@ def test_message_rule_sees_the_result_of_an_earlier_sync_action(action_setup):
             OnMessage("tell", "m"), lambda a, m: seen.append(a.memory.get("found")) or [], "read"
         ),
     ]
-    agent = container.add_agent("alice", rules)
+    container.add_agent("alice", rules)
     container.deliver_percept("all", lit("p"))
     container.route_local_message(AgentMessage("tell", "x", "c1__alice", lit("m"), "m1"))
-    container.run_cycle(agent)
+    container.start(engine)
+    assert container.wait_until(lambda: seen, 2)
     assert seen == ["42"]
 
 
@@ -298,7 +301,7 @@ def test_sync_action_binds_result(action_setup):
     agent = container.add_agent("alice")
     result = container.perform_action(
         agent, ActionTerm(parse_term("get_email_accounts(Accounts)")), Sync(2000)
-    )
+    ).result()
     assert render_term(result.literal) == 'get_email_accounts(["a@x","b@x"])'
 
 
@@ -335,15 +338,123 @@ def test_sync_action_timeout_leaves_agent_usable(action_setup):
         rb.from_(
             "agent:action?exchangePattern=InOut&actionName=slow&resultHeaderMap=result:1",
             route_id="slow",
-        ).process(lambda x: time.sleep(0.8))
+        ).set_header("result", constant("1"))
     )
     engine.add_routes(rb)
+    engine.controller("slow").suspend()  # holds the request
     agent = container.add_agent("alice")
     t0 = time.monotonic()
     with pytest.raises(ActionTimeoutError):
-        container.perform_action(agent, ActionTerm(parse_term("slow(X)")), Sync(100))
+        container.perform_action(agent, ActionTerm(parse_term("slow(X)")), Sync(100)).result()
     assert time.monotonic() - t0 < 0.5
     assert container.run_cycle(agent) == []  # still cycling
+
+
+def test_sync_action_reply_after_its_deadline_never_binds(action_setup):
+    container, engine = action_setup
+    rb = RouteBuilder()
+    (
+        rb.from_(
+            "agent:action?exchangePattern=InOut&actionName=slow&resultHeaderMap=result:1",
+            route_id="slow",
+        )
+        .process(lambda x: time.sleep(0.3))  # the loop runs the deadline only after this
+        .set_header("result", constant("1"))
+    )
+    engine.add_routes(rb)
+    agent = container.add_agent("alice")
+    bound = container.perform_action(agent, ActionTerm(parse_term("slow(X)")), Sync(100))
+    with pytest.raises(ActionTimeoutError):
+        bound.result(2)
+    turns_done = threading.Event()
+    engine.submit(turns_done.set)  # queued behind the due deadline call
+    assert turns_done.wait(2)
+    assert isinstance(bound.exception(), ActionTimeoutError)
+    assert engine.log.events(event="error") == []
+
+
+def test_waiting_action_suspends_only_its_own_cycle(action_setup):
+    container, engine = action_setup
+    rb = RouteBuilder()
+    (
+        rb.from_(
+            "agent:action?exchangePattern=InOut&actionName=lookup&resultHeaderMap=result:1",
+            route_id="lookup",
+        ).set_header("result", constant("42"))
+    )
+    engine.add_routes(rb)
+    engine.controller("lookup").suspend()  # holds the request
+
+    def store(agent, result):
+        agent.memory["found"] = render_term(result.args[0])
+
+    def record(a, event):
+        name = render_term(event.content if isinstance(event, AgentMessage) else event)
+        seen.append((a.id.local_name, name, a.memory.get("found")))
+        return []
+
+    seen = []
+    lookup = PerformAction(ActionTerm(parse_term("lookup(X)")), Sync(5000), store)
+    container.add_agent(
+        "a",
+        [
+            BehaviorRule(OnPercept("p", 0), lambda a, p: record(a, p) or [lookup], "act"),
+            BehaviorRule(OnPercept("q", 0), record, "after"),
+            BehaviorRule(OnMessage("tell", "m"), record, "read"),
+        ],
+    )
+    container.add_agent("b", [BehaviorRule(OnMessage("tell", "m"), record, "read")])
+    container.deliver_percept("c1__a", lit("p"))
+    container.deliver_percept("c1__a", lit("q"))
+    container.start(engine)
+    try:
+        assert container.wait_until(lambda: seen, 2)  # a's cycle now waits for its reply
+        for receiver in ("c1__a", "c1__b"):
+            container.route_local_message(AgentMessage("tell", "x", receiver, lit("m"), "m1"))
+        assert container.wait_until(lambda: len(seen) == 2, 0.5)
+        assert seen == [("a", "p", None), ("b", "m", None)]
+
+        engine.controller("lookup").resume()
+        assert container.wait_until(lambda: len(seen) == 4, 2)
+        assert seen[2:] == [("a", "q", "42"), ("a", "m", "42")]
+    finally:
+        container.stop()
+
+
+def test_messages_from_many_threads_are_all_handled():
+    container = AgentContainer("c1")
+    engine = RouteEngine(name="c1")
+    handled = []
+
+    def handle(agent, msg):
+        time.sleep(0.0005)  # messages arrive while a cycle runs
+        handled.append(msg.msg_id)
+        return []
+
+    container.add_agent("a", [BehaviorRule(OnMessage("tell", "n"), handle, "r")])
+    engine.start()
+    container.start(engine)
+
+    def send(k):
+        for i in range(300):
+            container.route_local_message(AgentMessage("tell", "x", "c1__a", lit("n"), f"{k}-{i}"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        senders = [threading.Thread(target=send, args=(k,)) for k in range(3)]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(10)
+        assert not any(t.is_alive() for t in senders)
+        # A lost ready would leave the last messages in the inbox for good.
+        assert container.wait_until(lambda: len(handled) == 900, 10)
+    finally:
+        sys.setswitchinterval(interval)
+        container.stop()
+        engine.stop()
+    assert sorted(handled) == sorted(f"{k}-{i}" for k in range(3) for i in range(300))
 
 
 def test_threaded_container_executes_startup_and_effects(action_setup):
@@ -355,7 +466,7 @@ def test_threaded_container_executes_startup_and_effects(action_setup):
         "alice",
         [BehaviorRule(OnStartup(), lambda a, p: [PerformAction(ActionTerm(Atom("register")))], "s")],
     )
-    container.start()
+    container.start(engine)
     try:
         out = engine._buffer("out").get(timeout=2)
         assert out.in_msg.headers["actor"] == "c1__alice"

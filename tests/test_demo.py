@@ -271,13 +271,29 @@ def test_scenario_stop_leaves_no_threads():
     before = set(threading.enumerate())
     scenario = Scenario(ScenarioConfig.default())
     scenario.start()
-    # One loop thread per engine and one thread per agent.
-    assert {t.name for t in set(threading.enumerate()) - before} == {
-        "main-loop",
-        "agent-main__alice",
-        "agent-main__bob",
-    }
+    # One loop thread per engine; the agents cycle on it.
+    assert {t.name for t in set(threading.enumerate()) - before} == {"main-loop"}
     scenario.stop()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
+def test_two_container_scenario_runs_one_thread_per_container():
+    config = ScenarioConfig(
+        containers=[
+            ContainerSpec("c1", "static", [AgentSpec("ann"), AgentSpec("amy")]),
+            ContainerSpec("c2", "static", [AgentSpec("bob")]),
+        ],
+        users=[{"email": "a@x", "interests": "budget"}],
+        route_sets={"use_case", "inter_container"},
+    )
+    before = set(threading.enumerate())
+    scenario = Scenario(config)
+    scenario.start()
+    try:
+        assert {t.name for t in set(threading.enumerate()) - before} == {"c1-loop", "c2-loop"}
+        assert all(view is not None for view in scenario.allocations().values())
+    finally:
+        scenario.stop()
     assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
