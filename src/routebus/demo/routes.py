@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 
 def account_query_routes(rb: RouteBuilder, prefix: str) -> RouteBuilder:
     """Synchronous action backed by a table query; the reply header carries the
-    quoted account list that instantiates the action's argument."""
+    account list, as a list value, that instantiates the action's argument."""
     return (
         rb.from_(
             "agent:action?exchangePattern=InOut"
@@ -81,10 +81,14 @@ def membership_routes(
 
 
 def mail_routes(
-    rb: RouteBuilder, prefix: str, account: str, aggregate_timeout_ms: int
+    rb: RouteBuilder, prefix: str, account: str, aggregate_timeout_ms: int, agent_count: int
 ) -> RouteBuilder:
     """Poll mail, scatter a relevance request to the local agents, gather their
     reply lists, and forward the mail to the union of nominated users.
+
+    Every agent replies to every request, with an empty list when nothing
+    matches, so the replies of a mail are complete once ``agent_count`` have
+    arrived; the timeout merges what has arrived when an agent fails to reply.
 
     The request and the replies are built and read as terms, so mail content
     reaches the agents as string arguments whatever characters it holds."""
@@ -122,7 +126,7 @@ def mail_routes(
         )
         .process(read_relevant, "read-relevant")
         .aggregate(header("id"), SetUnion())
-        .completion_timeout(aggregate_timeout_ms)
+        .completion_timeout(aggregate_timeout_ms, size=agent_count)
         .set_header("to", body())
         .to("buffered:forward-message")
     )

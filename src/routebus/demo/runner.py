@@ -147,7 +147,11 @@ class Scenario:
         prefix = f"{container.container_id}:"
         rb = RouteBuilder()
         route_sets.mail_routes(
-            rb, prefix, self.config.mail_account, self.config.aggregate_timeout_ms
+            rb,
+            prefix,
+            self.config.mail_account,
+            self.config.aggregate_timeout_ms,
+            len(container.agents),
         )
         engine.add_routes(rb)
         engine.add_routes(

@@ -11,8 +11,9 @@ and runs that one exchange, an agent runs one cycle; so routes, agents and
 deadlines stay fair under load.  ``direct:`` producers run the target route's
 pipeline inline on the caller's context; ``buffered:`` producers enqueue a
 copy and return.  Each aggregate step has one bucket state, made with the
-route.  A timed bucket is flushed at its deadline on the loop, and the merged
-exchange continues at the step after that aggregate, as a completed one does.
+route.  A bucket completes on its size or its timeout, whichever comes first;
+a timed-out bucket is flushed on the loop, and the merged exchange continues
+at the step after that aggregate, as one completed by size does.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ from .messages import (
     EndpointUri,
     Exchange,
     ExchangePattern,
+    Message,
     RowSet,
     new_exchange,
     parse_uri,
 )
-from .terms import ListTerm, Str, parse_term, render_term
+from .terms import ListTerm, parse_term, render_term
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +84,7 @@ __all__ = [
     "InvalidTransitionError",
     "RouteConfigError",
     "MissingColumnError",
+    "ClosedCorrelationKeyError",
 ]
 
 
@@ -103,6 +106,10 @@ class RouteConfigError(ValueError):
 
 class MissingColumnError(KeyError):
     pass
+
+
+class ClosedCorrelationKeyError(RuntimeError):
+    """An exchange arrived under the key of a bucket that timed out."""
 
 
 # --- processors ----------------------------------------------------------------
@@ -139,14 +146,19 @@ class Split:
 
 @dataclass(frozen=True)
 class Aggregate:
+    """Correlate exchanges into buckets and merge each bucket once it holds
+    ``completion_size`` exchanges or is ``completion_timeout_ms`` old,
+    whichever comes first: with both, the size is the normal completion and
+    the timeout the fallback that merges what has arrived."""
+
     correlation: Expr
     strategy: "AggregationStrategy"
     completion_size: Union[int, Expr, None] = None
     completion_timeout_ms: Optional[int] = None
 
     def __post_init__(self):
-        if (self.completion_size is None) == (self.completion_timeout_ms is None):
-            raise RouteConfigError("aggregate needs exactly one completion condition")
+        if self.completion_size is None and self.completion_timeout_ms is None:
+            raise RouteConfigError("aggregate needs a completion size or timeout")
 
 
 @dataclass(frozen=True)
@@ -324,7 +336,7 @@ class RouteBuilder:
         return self._add(IdempotentConsumer(key, repo))
 
     def transform_rows_to_quoted_list(self, column: str) -> "RouteBuilder":
-        """Turn a row-set body into quoted-string list text, e.g. ``["a@x","b@x"]``."""
+        """Turn a row-set body into the list of one column's values."""
         return self.process(
             lambda x: transform_rows_to_quoted_list(x, column), "transform-rows-to-quoted-list"
         )
@@ -345,8 +357,9 @@ class _AggregateSpec:
     def completion_size(self, size: Union[int, Expr]) -> RouteBuilder:
         return self._builder._add(Aggregate(self._correlation, self._strategy, size, None))
 
-    def completion_timeout(self, ms: int) -> RouteBuilder:
-        return self._builder._add(Aggregate(self._correlation, self._strategy, None, ms))
+    def completion_timeout(self, ms: int, size: Union[int, Expr, None] = None) -> RouteBuilder:
+        """Complete on the timeout, or on ``size`` exchanges if that comes first."""
+        return self._builder._add(Aggregate(self._correlation, self._strategy, size, ms))
 
 
 # --- event log -------------------------------------------------------------------
@@ -568,13 +581,14 @@ def split_exchange(x: Exchange, e: Expr) -> list[Exchange]:
 
 
 def transform_rows_to_quoted_list(x: Exchange, column: str) -> Exchange:
-    """Replace a row-set body with quoted-string list text, row order preserved."""
+    """Replace a row-set body with the list of one column's values, row order
+    preserved; its text form is the quoted-string list, e.g. ``["a@x","b@x"]``."""
     b = x.in_msg.body
     if not isinstance(b, RowSet):
         raise TypeMismatchError(f"body is not a row set: {b!r}")
     if column not in b.columns:
         raise MissingColumnError(column)
-    x.in_msg.body = render_term(ListTerm(tuple(Str(row[column]) for row in b.rows)))
+    x.in_msg.body = [row[column] for row in b.rows]
     return x
 
 
@@ -588,25 +602,35 @@ class _Bucket:
 
 class AggregateState:
     """Correlation buckets for one aggregate step of one route, in opening
-    order; ``schedule`` gets the deadline of each new timed bucket.  The
-    route's exchange lock serialises every offer and flush."""
+    order.  A timed step keeps one flush pending, at the deadline of its
+    oldest bucket, and hands it to ``schedule``; a bucket completed by size
+    leaves that flush nothing to do.  The key of a timed-out bucket is closed
+    for one more timeout, so a late exchange under it is refused rather than
+    opening a second bucket.  The route's exchange lock serialises every
+    offer and flush."""
 
     def __init__(self, step: Aggregate, schedule: Callable[[float], None] = lambda when: None):
         self.step = step
         self.schedule = schedule
         self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
+        self.closed: OrderedDict[str, float] = OrderedDict()  # key -> when it reopens
+        self.deadline: Optional[float] = None  # of the pending flush
 
     def offer(self, x: Exchange) -> Optional[Exchange]:
+        """Add ``x`` to its bucket; the merged bucket once it is complete, else
+        None.  Raises ``ClosedCorrelationKeyError`` for a late exchange."""
         key = stringify(eval_expr(self.step.correlation, x))
-        timeout_ms = self.step.completion_timeout_ms
+        if self.closed:
+            self._reopen(time.monotonic())
+            if key in self.closed:
+                raise ClosedCorrelationKeyError(key)
         bucket = self.buckets.get(key)
         if bucket is None:
             bucket = self.buckets[key] = _Bucket()
-            if timeout_ms is not None:
-                self.schedule(bucket.first_monotonic + timeout_ms / 1000.0)
+            self._arm()
         bucket.exchanges.append(x)
-        if self.step.completion_size is not None:
-            size = self.step.completion_size
+        size = self.step.completion_size
+        if size is not None:
             if isinstance(size, Expr):
                 size = int(eval_expr(size, x))  # type: ignore[arg-type]
             if len(bucket.exchanges) >= int(size):
@@ -617,16 +641,34 @@ class AggregateState:
     def flush_expired(self) -> list[Exchange]:
         if self.step.completion_timeout_ms is None:
             return []
-        opened_by = time.monotonic() - self.step.completion_timeout_ms / 1000.0
+        timeout_s = self.step.completion_timeout_ms / 1000.0
+        now = time.monotonic()
+        if self.deadline is not None and self.deadline <= now:
+            self.deadline = None  # this is the pending flush
         merged = []
         # Opening order is deadline order: stop at the first open bucket.
         while self.buckets:
             key, bucket = next(iter(self.buckets.items()))
-            if bucket.first_monotonic > opened_by:
+            if bucket.first_monotonic + timeout_s > now:
                 break
             del self.buckets[key]
+            self.closed[key] = now + timeout_s
             merged.append(self.step.strategy.merge(bucket.exchanges))
+        self._reopen(now)
+        self._arm()
         return merged
+
+    def _arm(self) -> None:
+        """Schedule the oldest bucket's flush unless a flush is pending."""
+        if self.deadline is None and self.buckets and self.step.completion_timeout_ms is not None:
+            oldest = next(iter(self.buckets.values()))
+            self.deadline = oldest.first_monotonic + self.step.completion_timeout_ms / 1000.0
+            self.schedule(self.deadline)
+
+    def _reopen(self, now: float) -> None:
+        """Forget the closed keys whose time is up, oldest first."""
+        while self.closed and next(iter(self.closed.values())) <= now:
+            self.closed.popitem(last=False)
 
 
 # --- route service ----------------------------------------------------------------
@@ -765,7 +807,8 @@ class RouteService:
             self.engine.log.emit(self.route_id, "receive", exchange.id)
             final = self._run(exchange, 0)
             if final.pattern is ExchangePattern.IN_OUT:
-                final.out_msg = final.in_msg.copy()
+                # The route is done with the exchange: the reply shares its body.
+                final.out_msg = Message(dict(final.in_msg.headers), final.in_msg.body)
             return final
 
     def _log_failure(self, x: Exchange, exc: Exception) -> None:
@@ -800,7 +843,11 @@ class RouteService:
                     return x
                 step.repo.add(key)
             elif isinstance(step, Aggregate):
-                merged = self._agg_states[i].offer(x)
+                try:
+                    merged = self._agg_states[i].offer(x)
+                except ClosedCorrelationKeyError:
+                    self.engine.log.emit(self.route_id, "drop", x.id, detail="late reply")
+                    return x
                 if merged is None:
                     return x
                 x = merged

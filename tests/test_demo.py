@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from routebus import agent_endpoints
-from routebus.agents import AgentContainer, AgentMessage, Persistence, SendMessage, UpdateMode
+from routebus.agents import (
+    AgentContainer,
+    AgentMessage,
+    BehaviorRule,
+    Persistence,
+    SendMessage,
+    UpdateMode,
+)
 from routebus.routing import RouteService, RouteState
 from routebus.services import MailStore, TableStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
@@ -219,6 +226,76 @@ def test_hostile_mail_content_is_forwarded_intact(fast_scenario):
     assert (quoted.subject, escaped.body) == ('budget "final"', "C:\\trips\\plan")
     assert open_buckets(fast_scenario) == 0
     assert fast_scenario.log.events(event="error") == []
+
+
+def test_default_scenario_forwards_a_matching_mail_once_both_agents_replied():
+    # The replies complete the mail by count, so the 2 s timeout is not waited for.
+    config = ScenarioConfig.default()
+    config.mails = []
+    scenario = Scenario(config)
+    scenario.start()
+    try:
+        t0 = time.monotonic()
+        scenario.inject_mail("x@corp", "budget travel", "see the notes")
+        assert wait_for(scenario.forward_events, timeout=2.0)
+        assert time.monotonic() - t0 < 0.5
+        assert forwarded_to(scenario, "budget travel") == ["to=[a@x,b@x]"]
+    finally:
+        scenario.stop()
+
+
+def replace_relevance_hook(scenario, local_name, hook):
+    scenario.build()
+    agent = scenario.containers["main"].agents[f"main__{local_name}"]
+    agent.behaviors = [
+        BehaviorRule(r.trigger, hook, r.name) if r.name == "relevance" else r
+        for r in agent.behaviors
+    ]
+    return agent
+
+
+def test_agent_whose_hook_raises_leaves_the_mail_to_the_fallback_timeout(fast_scenario):
+    def boom(agent, msg):
+        raise RuntimeError("relevance hook failed")
+
+    fast_scenario.config.mails = []
+    replace_relevance_hook(fast_scenario, "bob", boom)
+    fast_scenario.start()
+    t0 = time.monotonic()
+    fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
+    assert wait_for(fast_scenario.forward_events)
+    assert time.monotonic() - t0 >= 0.5  # the timeout forwarded what had arrived
+    time.sleep(0.6)  # a second timeout passes: nothing more is forwarded
+    assert forwarded_to(fast_scenario, "budget travel") == ["to=[a@x]"]
+    assert fast_scenario.log.events(event="agent-error")
+    fast_scenario.stop()
+    assert open_buckets(fast_scenario) == 0
+
+
+def test_reply_after_the_timeout_is_dropped_and_the_mail_forwarded_once(fast_scenario):
+    requests = []
+
+    def silent(agent, msg):
+        requests.append(msg.content.args[0].text)
+        return []
+
+    fast_scenario.config.mails = []
+    bob = replace_relevance_hook(fast_scenario, "bob", silent)
+    fast_scenario.start()
+    fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
+    assert wait_for(fast_scenario.forward_events)
+    (mail_id,) = requests
+    late = AgentMessage("tell", bob.full_name, "router", relevant(mail_id, ["b@x"]), "late-1")
+    fast_scenario.containers["main"].route_local_message(late)
+    assert wait_for(
+        lambda: fast_scenario.log.events(event="drop", route_id="main:collect-replies")
+    )
+    (drop,) = fast_scenario.log.events(event="drop", route_id="main:collect-replies")
+    assert drop.detail == "late reply"
+    time.sleep(0.6)  # past the timeout a bucket of the late reply would have had
+    assert forwarded_to(fast_scenario, "budget travel") == ["to=[a@x]"]
+    fast_scenario.stop()
+    assert open_buckets(fast_scenario) == 0
 
 
 def test_plan_changes_add_no_routes(fast_scenario):

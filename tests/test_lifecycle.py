@@ -285,7 +285,7 @@ def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired(
     state = AggregateState(step, scheduled.append)
     state.offer(new_exchange(body="a", headers={"k": "1"}))
     state.offer(new_exchange(body="b", headers={"k": "1"}))
-    assert len(scheduled) == 1  # one deadline per opened bucket
+    assert len(scheduled) == 1  # one flush pending, at the oldest bucket's deadline
     assert scheduled[0] - time.monotonic() <= 0.1
     time.sleep(0.12)
     state.offer(new_exchange(body="c", headers={"k": "2"}))

@@ -3,10 +3,11 @@ from queue import Empty
 
 import pytest
 
-from routebus.expressions import body, constant, expr, header
+from routebus.expressions import body, constant, expr, header, stringify
 from routebus.messages import ExchangePattern, RowSet, new_exchange
 from routebus.routing import (
     Aggregate,
+    ClosedCorrelationKeyError,
     CombineBodyAndHeader,
     IdempotentRepository,
     InvalidTransitionError,
@@ -191,11 +192,42 @@ def test_aggregate_dynamic_size_from_header():
     assert merged.in_msg.body == ["a", "b"]
 
 
-def test_aggregate_needs_exactly_one_completion():
+def test_aggregate_needs_a_completion_condition():
     with pytest.raises(RouteConfigError):
         Aggregate(header("k"), ListAppend())
-    with pytest.raises(RouteConfigError):
-        Aggregate(header("k"), ListAppend(), completion_size=1, completion_timeout_ms=10)
+    both = Aggregate(header("k"), ListAppend(), completion_size=1, completion_timeout_ms=10)
+    assert (both.completion_size, both.completion_timeout_ms) == (1, 10)
+
+
+def test_size_and_timeout_completes_at_the_size_and_its_deadline_flushes_nothing():
+    scheduled = []
+    step = Aggregate(header("k"), ListAppend(), completion_size=2, completion_timeout_ms=100)
+    state = AggregateState(step, scheduled.append)
+    t0 = time.monotonic()
+    assert state.offer(new_exchange(body="a", headers={"k": "1"})) is None
+    merged = state.offer(new_exchange(body="b", headers={"k": "1"}))
+    assert merged.in_msg.body == ["a", "b"]
+    assert time.monotonic() - t0 < 0.05  # at the count, well before the timeout
+    assert len(scheduled) == 1 and not state.buckets
+    time.sleep(max(0.0, scheduled[0] - time.monotonic()))
+    assert state.flush_expired() == []
+    assert len(scheduled) == 1  # nothing left to schedule a flush for
+    # A size-completed key is not closed: the next bucket under it opens.
+    assert state.offer(new_exchange(body="c", headers={"k": "1"})) is None
+
+
+def test_exchange_after_its_bucket_timed_out_is_refused_for_one_timeout():
+    step = Aggregate(header("k"), ListAppend(), completion_size=2, completion_timeout_ms=50)
+    state = AggregateState(step)
+    state.offer(new_exchange(body="a", headers={"k": "1"}))
+    time.sleep(0.06)
+    assert [x.in_msg.body for x in state.flush_expired()] == [["a"]]
+    with pytest.raises(ClosedCorrelationKeyError):
+        state.offer(new_exchange(body="late", headers={"k": "1"}))
+    assert not state.buckets
+    time.sleep(0.06)  # one timeout after the close the key is forgotten
+    assert state.offer(new_exchange(body="b", headers={"k": "1"})) is None
+    assert not state.closed
 
 
 def test_set_union_merges_reply_lists():
@@ -370,13 +402,13 @@ def test_transform_rows_to_quoted_list():
     rows = RowSet(("email",), [{"email": "a@x"}, {"email": "b@x"}])
     x = new_exchange(body=rows)
     transform_rows_to_quoted_list(x, "email")
-    assert x.in_msg.body == '["a@x","b@x"]'
+    assert stringify(x.in_msg.body) == '["a@x","b@x"]'
 
 
 def test_transform_empty_rowset():
     x = new_exchange(body=RowSet(("email",), []))
     transform_rows_to_quoted_list(x, "email")
-    assert x.in_msg.body == "[]"
+    assert stringify(x.in_msg.body) == "[]"
 
 
 def test_transform_missing_column():
