@@ -5,7 +5,9 @@ Four endpoint kinds exist, addressed as ``agent:message``, ``agent:action``
 endpoints turn messages sent / actions performed by local agents into
 exchanges, applying their URI-parameter selectors first; producer endpoints
 turn exchanges into agent messages or percepts, with message headers
-overriding the URI parameters field by field.
+overriding the URI parameters field by field.  A consumer's exchange body is
+the content term itself, or its rendered text when a ``match`` selector is
+set; a producer takes a literal body as it is and parses a text body.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from .expressions import body_to_term, stringify
 from .messages import BodyValue, EndpointUri, Exchange, ExchangePattern, new_exchange
 from .routing import Channel, Component, Consumer, Delivery, Producer, RouteEngine, _ChannelConsumer
 from .terms import (
+    TERM_TYPES,
     ActionTerm,
     Atom,
     Compound,
+    Literal,
     Str,
     Term,
     TermSyntaxError,
@@ -231,10 +235,13 @@ def _receiver_matches(cfg_receiver: str, msg_receiver: str) -> bool:
     return msg_receiver in wanted
 
 
-def _match_and_replace(cfg: AgentEndpointConfig, rendered: str) -> Optional[str]:
-    """Returns the exchange body text, or None when the match selector rejects."""
+def _match_and_replace(cfg: AgentEndpointConfig, content: Literal) -> BodyValue:
+    """The exchange body: the content term itself when no ``match`` is set,
+    else its rendered text, rewritten by ``replace``; None when the match
+    selector rejects."""
     if cfg.pattern is None:
-        return rendered
+        return content
+    rendered = render_term(content)
     m = cfg.pattern.fullmatch(rendered)
     if m is None:
         return None
@@ -259,7 +266,7 @@ def consume_agent_message(cfg: AgentEndpointConfig, msg: AgentMessage) -> Option
         return None
     if not _annotations_match(cfg, msg.annotations):
         return None
-    body = _match_and_replace(cfg, render_term(msg.content))
+    body = _match_and_replace(cfg, msg.content)
     if body is None:
         return None
     pattern = cfg.exchange_pattern or ExchangePattern.IN_ONLY
@@ -270,7 +277,7 @@ def consume_agent_message(cfg: AgentEndpointConfig, msg: AgentMessage) -> Option
             "illoc_force": msg.illoc_force,
             "sender": msg.sender,
             "receiver": msg.receiver,
-            "annotations": [render_term(a) for a in msg.annotations],
+            "annotations": tuple(render_term(a) for a in msg.annotations),
             "msg_id": msg.msg_id,
         },
     )
@@ -292,7 +299,7 @@ def consume_agent_action(
     annotations = getattr(term.literal, "annotations", ())
     if not _annotations_match(cfg, annotations):
         return None
-    body = _match_and_replace(cfg, render_term(term.literal))
+    body = _match_and_replace(cfg, term.literal)
     if body is None:
         return None
     if isinstance(mode, Sync) and not cfg.result_header_map:
@@ -310,22 +317,23 @@ def consume_agent_action(
         body,
         {
             "actor": actor.full_name,
-            "annotations": [render_term(a) for a in annotations],
+            "annotations": tuple(render_term(a) for a in annotations),
             "actionName": term.functor,
-            "params": [render_term(a) for a in term.args],
+            "params": tuple(render_term(a) for a in term.args),
         },
     )
 
 
 def _header_to_term(value: BodyValue) -> Term:
     """Result-header conversion: text parses as a term, falling back to a string;
-    numbers and lists are lifted into the term space as they are."""
+    numbers and sequences are lifted into the term space, and a term is used
+    as it is."""
     if isinstance(value, str):
         try:
             return parse_term(value)
         except TermSyntaxError:
             return Str(value)
-    if isinstance(value, (int, float, list)):
+    if isinstance(value, (int, float, list, tuple) + TERM_TYPES):
         return body_to_term(value)
     raise UnparseableContentError(f"no term form for header value {value!r}")
 
@@ -355,14 +363,19 @@ def _effective(x: Exchange, header_name: str, cfg_value: Optional[str]) -> Optio
 def _effective_annotations(x: Exchange, cfg: AgentEndpointConfig) -> tuple[Term, ...]:
     if "annotations" in x.in_msg.headers:
         value = x.in_msg.headers["annotations"]
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             return tuple(parse_term(stringify(v)) for v in value)
         return _parse_annotations(stringify(value))
     return cfg.annotations
 
 
-def _parse_content(x: Exchange) -> Union[Atom, Compound]:
-    text = stringify(x.in_msg.body)
+def _parse_content(x: Exchange) -> Literal:
+    """The body as a literal: a literal term as it is, anything else parsed
+    from its text."""
+    body = x.in_msg.body
+    if isinstance(body, (Atom, Compound)):
+        return body
+    text = stringify(body)
     try:
         term = parse_term(text)
     except TermSyntaxError as exc:

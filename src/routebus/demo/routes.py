@@ -21,7 +21,7 @@ from ..routing import (
     SetUnion,
 )
 from ..services import CoordService
-from ..terms import Compound, Str, parse_term, render_term
+from ..terms import Compound, Str
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ def membership_routes(
         x.in_msg.body = coord.get_data("/agents/" + stringify(x.in_msg.body))
 
     def agents_percept(x):
-        x.in_msg.body = render_term(Compound("agents", (body_to_term(x.in_msg.body),)))
+        x.in_msg.body = Compound("agents", (body_to_term(x.in_msg.body),))
 
     return (
         rb.from_(
@@ -90,20 +90,20 @@ def mail_routes(
     matches, so the replies of a mail are complete once ``agent_count`` have
     arrived; the timeout merges what has arrived when an agent fails to reply.
 
-    The request and the replies are built and read as terms, so mail content
-    reaches the agents as string arguments whatever characters it holds."""
+    The request and the replies stay terms between the routes and the agents,
+    so mail content reaches the agents as string arguments whatever characters
+    it holds, and no reply is rendered or parsed."""
 
     def check_relevance(x):
         headers = x.in_msg.headers
         fields = (headers["id"], headers["from"], headers["subject"], x.in_msg.body)
-        request = Compound("check_relevance", tuple(Str(stringify(f)) for f in fields))
-        x.in_msg.body = render_term(request)
+        x.in_msg.body = Compound("check_relevance", tuple(Str(stringify(f)) for f in fields))
 
     def read_relevant(x):
         # relevant(Id, [Email, ...]): the id correlates, the emails are the body.
-        reply_id, emails = parse_term(x.in_msg.body).args
+        reply_id, emails = x.in_msg.body.args
         x.in_msg.headers["id"] = reply_id.text
-        x.in_msg.body = [email.text for email in emails.elements]
+        x.in_msg.body = tuple(email.text for email in emails.elements)
 
     (
         rb.from_(

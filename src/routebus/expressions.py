@@ -7,9 +7,10 @@ starts at one of the roots ``body``, ``bodyAs(String)``, ``id``,
 
 A template that is a single placeholder evaluates to the placeholder's typed
 value; any mix of literal text and placeholders evaluates to text with the
-placeholder values stringified.  Lists stringify in the agent list syntax
-(elements comma-separated in brackets, text elements double-quoted), so a
-list body dropped into a term template parses back as a term.
+placeholder values stringified.  Lists and tuples stringify in the agent list
+syntax (elements comma-separated in brackets, text elements double-quoted),
+and terms as their canonical text, so such a body dropped into a term
+template parses back as a term.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .messages import BodyValue, Exchange, RowSet
-from .terms import ListTerm, Number, Str, Term, render_term
+from .terms import TERM_TYPES, ListTerm, Number, Str, Term, render_term
 
 __all__ = [
     "Expr",
@@ -245,15 +246,15 @@ def _apply(acc: Accessor, value: BodyValue) -> BodyValue:
     if isinstance(acc, SplitAccessor):
         if not isinstance(value, str):
             raise TypeMismatchError(f"split applied to non-text value {value!r}")
-        return value.split(acc.sep)
+        return tuple(value.split(acc.sep))
     if isinstance(acc, IndexAccessor):
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise TypeMismatchError(f"index applied to non-list value {value!r}")
         if acc.index >= len(value):
             raise EvalIndexError(f"index {acc.index} out of range (size {len(value)})")
         return value[acc.index]
     if isinstance(acc, SizeAccessor):
-        if isinstance(value, (list, RowSet)):
+        if isinstance(value, (list, tuple, RowSet)):
             return len(value)
         raise TypeMismatchError(f"size applied to non-collection value {value!r}")
     raise TypeError(f"unknown accessor {acc!r}")
@@ -262,8 +263,9 @@ def _apply(acc: Accessor, value: BodyValue) -> BodyValue:
 def stringify(value: BodyValue) -> str:
     """Text form of a body value.
 
-    Text passes through unquoted; lists render in agent list syntax so the
-    result can be embedded in a term template.
+    Text passes through unquoted; lists and tuples render in agent list
+    syntax, and terms as their canonical text, so the result can be embedded
+    in a term template.
     """
     if value is None:
         return ""
@@ -271,8 +273,10 @@ def stringify(value: BodyValue) -> str:
         return value
     if isinstance(value, (int, float)):
         return render_term(Number(float(value)))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return render_term(body_to_term(value))
+    if isinstance(value, TERM_TYPES):
+        return render_term(value)
     if isinstance(value, RowSet):
         rows = ",".join(
             "{" + ",".join(f"{c}={row[c]}" for c in value.columns) + "}" for row in value.rows
@@ -282,13 +286,16 @@ def stringify(value: BodyValue) -> str:
 
 
 def body_to_term(value: BodyValue) -> Term:
-    """Lift a plain body value into the term space (text becomes a string term)."""
+    """Lift a body value into the term space (text becomes a string term);
+    a term is already there."""
     if isinstance(value, str):
         return Str(value)
     if isinstance(value, (int, float)):
         return Number(float(value))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ListTerm(tuple(body_to_term(el) for el in value))
+    if isinstance(value, TERM_TYPES):
+        return value
     raise TypeMismatchError(f"no term form for body value {value!r}")
 
 
@@ -299,7 +306,7 @@ def term_to_body(t: Term) -> BodyValue:
     if isinstance(t, Number):
         return t.value
     if isinstance(t, ListTerm):
-        return [term_to_body(el) for el in t.elements]
+        return tuple(term_to_body(el) for el in t.elements)
     return render_term(t)
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 import threading
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
+
+from .terms import Term
 
 __all__ = [
     "BodyValue",
@@ -27,15 +28,16 @@ class MalformedUriError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowSet:
     """An ordered set of rows; every row maps exactly the same column names to text."""
 
     columns: tuple[str, ...]
-    rows: list[dict[str, str]] = field(default_factory=list)
+    rows: tuple[dict[str, str], ...] = ()
 
     def __post_init__(self):
-        self.columns = tuple(self.columns)
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "rows", tuple(self.rows))
         expected = set(self.columns)
         for row in self.rows:
             if set(row) != expected:
@@ -45,9 +47,10 @@ class RowSet:
         return len(self.rows)
 
 
-# A message body (or header value) is plain data: text, a number, a list of
-# bodies, a row set from a table query, or nothing.
-BodyValue = Union[None, str, int, float, list, RowSet]
+# A message body (or header value) is plain data: text, a number, a sequence
+# of bodies, a row set from a table query, a term, or nothing.  The library
+# never edits a value in place, so copies of a message share them.
+BodyValue = Union[None, str, int, float, list, tuple, RowSet, Term]
 
 
 class ExchangePattern(Enum):
@@ -68,7 +71,8 @@ class Message:
     body: BodyValue = None
 
     def copy(self) -> "Message":
-        return Message(copy.deepcopy(self.headers), copy.deepcopy(self.body))
+        """A message with its own header dict; the values are shared."""
+        return Message(dict(self.headers), self.body)
 
 
 @dataclass
@@ -79,7 +83,8 @@ class Exchange:
     out_msg: Optional[Message] = None
 
     def copy(self) -> "Exchange":
-        """Deep copy for fan-out; the copy keeps the id of the original."""
+        """Copy for fan-out: the copy keeps the id of the original and has its
+        own header dicts, so setting a header on one leaves the other as it is."""
         return Exchange(
             self.id,
             self.pattern,

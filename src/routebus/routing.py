@@ -18,7 +18,6 @@ at the step after that aggregate, as one completed by size does.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import logging
@@ -47,7 +46,7 @@ from .messages import (
     new_exchange,
     parse_uri,
 )
-from .terms import ListTerm, parse_term, render_term
+from .terms import ListTerm, parse_term, quote, render_term
 
 logger = logging.getLogger(__name__)
 
@@ -197,41 +196,44 @@ class AggregationStrategy:
 
 
 class ListAppend(AggregationStrategy):
-    """Collect the bodies into a list, arrival order preserved; headers from the first."""
+    """Collect the bodies into a tuple, arrival order preserved; headers from the first."""
 
     def merge(self, exchanges: list[Exchange]) -> Exchange:
         first = exchanges[0]
         return new_exchange(
-            first.pattern, [x.in_msg.body for x in exchanges], first.in_msg.headers
+            first.pattern, tuple(x.in_msg.body for x in exchanges), first.in_msg.headers
         )
 
 
 class SetUnion(AggregationStrategy):
-    """Parse each body as a term list and take the set union of the elements.
+    """The set union of the elements of sequence bodies; a text body is parsed
+    as a term list.
 
-    The union is ordered by each element's rendered text, so any permutation
-    of the same replies produces an identical merged body.
+    The union is ordered by each element's rendered term text, so any
+    permutation of the same replies produces an identical merged body.
     """
 
     def merge(self, exchanges: list[Exchange]) -> Exchange:
-        elements: dict[str, object] = {}
+        elements: set = set()
         for x in exchanges:
             b = x.in_msg.body
             if isinstance(b, str):
                 t = parse_term(b)
                 if not isinstance(t, ListTerm):
                     raise TypeMismatchError(f"set-union body is not a list: {b!r}")
-                items = t.elements
-            elif isinstance(b, list):
-                items = tuple(body_to_term(el) for el in b)
-            else:
+                b = tuple(term_to_body(el) for el in t.elements)
+            elif not isinstance(b, (list, tuple)):
                 raise TypeMismatchError(f"set-union body is not a list: {b!r}")
-            for el in items:
-                elements.setdefault(render_term(el), term_to_body(el))
+            elements.update(b)
         first = exchanges[0]
         return new_exchange(
-            first.pattern, [elements[k] for k in sorted(elements)], first.in_msg.headers
+            first.pattern, tuple(sorted(elements, key=_term_text)), first.in_msg.headers
         )
+
+
+def _term_text(value) -> str:
+    """The rendered term text of a body value, quoting text directly."""
+    return quote(value) if isinstance(value, str) else render_term(body_to_term(value))
 
 
 class CombineBodyAndHeader(AggregationStrategy):
@@ -561,19 +563,19 @@ class _BufferedProducer(Producer):
 def split_exchange(x: Exchange, e: Expr) -> list[Exchange]:
     """One child exchange per element of the evaluated collection.
 
-    Children get a deep copy of the headers plus ``split.index`` /
-    ``split.size`` headers; the child body is the element.
+    Children get their own header dict, sharing the parent's values, plus
+    ``split.index`` / ``split.size`` headers; the child body is the element.
     """
     value = eval_expr(e, x)
     if isinstance(value, RowSet):
-        elements: list = [RowSet(value.columns, [dict(row)]) for row in value.rows]
-    elif isinstance(value, list):
-        elements = list(value)
+        elements: tuple = tuple(RowSet(value.columns, (row,)) for row in value.rows)
+    elif isinstance(value, (list, tuple)):
+        elements = tuple(value)
     else:
         raise TypeMismatchError(f"split over non-collection value {value!r}")
     children = []
     for i, el in enumerate(elements):
-        child = new_exchange(x.pattern, el, copy.deepcopy(x.in_msg.headers))
+        child = new_exchange(x.pattern, el, x.in_msg.headers)
         child.in_msg.headers["split.index"] = i
         child.in_msg.headers["split.size"] = len(elements)
         children.append(child)
@@ -581,14 +583,14 @@ def split_exchange(x: Exchange, e: Expr) -> list[Exchange]:
 
 
 def transform_rows_to_quoted_list(x: Exchange, column: str) -> Exchange:
-    """Replace a row-set body with the list of one column's values, row order
+    """Replace a row-set body with the tuple of one column's values, row order
     preserved; its text form is the quoted-string list, e.g. ``["a@x","b@x"]``."""
     b = x.in_msg.body
     if not isinstance(b, RowSet):
         raise TypeMismatchError(f"body is not a row set: {b!r}")
     if column not in b.columns:
         raise MissingColumnError(column)
-    x.in_msg.body = [row[column] for row in b.rows]
+    x.in_msg.body = tuple(row[column] for row in b.rows)
     return x
 
 
@@ -860,7 +862,7 @@ class RouteService:
         if len(step.uris) == 1:
             self._send(step.uris[0], x)
             return
-        # Multicast: sequential, each destination on a deep copy; a failing
+        # Multicast: sequential, each destination on a copy; a failing
         # destination is logged and fails the exchange after the others ran.
         first_error: Optional[Exception] = None
         for uri in step.uris:

@@ -3,7 +3,8 @@
 * ``broker:queue:NAME`` / ``broker:topic:NAME`` -- message broker.  A queue
   message goes to exactly one consumer; a topic message is copied to every
   current subscriber.  The ``broker.destination`` header overrides the
-  destination name in the URI.
+  destination name in the URI.  A term body crosses the broker as its
+  canonical text, as it would between processes.
 * ``coord://SERVER/PATH?...`` -- coordination tree with persistent, ephemeral
   and ephemeral-sequential nodes, sessions, and child watches.
 * ``mail:ACCOUNT?delete=&copyTo=`` (consumer) and ``mailto:ACCOUNT``
@@ -30,7 +31,7 @@ from .expressions import stringify
 from .messages import EndpointUri, Exchange, ExchangePattern, RowSet, new_exchange
 from .routing import Channel, Component, Consumer, Delivery, EventLog, Producer, RouteEngine
 from .routing import _ChannelConsumer
-from .terms import Compound, ListTerm, Str, parse_term, render_term
+from .terms import TERM_TYPES, Compound, ListTerm, Str, parse_term, render_term
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +177,8 @@ class _BrokerProducer(Producer):
         override = exchange.in_msg.headers.get(DESTINATION_HEADER)
         if override is not None:
             name = stringify(override)
+        if isinstance(exchange.in_msg.body, TERM_TYPES):
+            exchange.in_msg.body = render_term(exchange.in_msg.body)
         if self._kind == "queue":
             self._service.send_queue(name, exchange)
         else:
@@ -397,7 +400,7 @@ class _CoordWatchConsumer(_ChannelConsumer):
         self._service.unwatch(self._path, self.channel)
 
     def _delivery(self, children: list[str]) -> Delivery:
-        return Delivery(new_exchange(ExchangePattern.IN_ONLY, list(children)))
+        return Delivery(new_exchange(ExchangePattern.IN_ONLY, tuple(children)))
 
 
 class _CoordCreateProducer(Producer):
@@ -538,8 +541,8 @@ class _MailConsumer(Consumer):
 
 
 def _recipients_from_header(value) -> list[str]:
-    if isinstance(value, list):
-        return [stringify(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return [v.text if isinstance(v, Str) else stringify(v) for v in value]
     text = stringify(value).strip()
     if not text:
         return []
@@ -645,7 +648,7 @@ class TableStore:
             for col in columns:
                 if col not in table.columns:
                     raise UnknownColumnError(col)
-            rows = [{c: row[c] for c in columns} for row in table.rows]
+            rows = tuple({c: row[c] for c in columns} for row in table.rows)
         return RowSet(tuple(columns), rows)
 
     def rows(self, table_name: str) -> list[dict[str, str]]:

@@ -33,12 +33,14 @@ __all__ = [
     "Compound",
     "Term",
     "Literal",
+    "TERM_TYPES",
     "ActionTerm",
     "TermSyntaxError",
     "NotAVariableError",
     "ArgumentIndexError",
     "parse_term",
     "render_term",
+    "quote",
     "bind_argument",
     "functor_of",
     "args_of",
@@ -110,6 +112,9 @@ Term = Union[Atom, Number, Str, Var, ListTerm, Compound]
 
 # A literal is what can appear as message content, percept, or action term.
 Literal = Union[Atom, Compound]
+
+# The term classes as a tuple, for ``isinstance`` on values that may be terms.
+TERM_TYPES = (Atom, Number, Str, Var, ListTerm, Compound)
 
 
 def functor_of(t: Term) -> str:
@@ -232,7 +237,7 @@ def render_term(t: Term) -> str:
             return str(int(v))
         return repr(v)
     if isinstance(t, Str):
-        return '"' + t.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return quote(t.text)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, ListTerm):
@@ -241,6 +246,11 @@ def render_term(t: Term) -> str:
         inner = ",".join(render_term(a) for a in t.args)
         return f"{t.functor}({inner})" + _render_annots(t.annotations)
     raise TypeError(f"not a term: {t!r}")
+
+
+def quote(text: str) -> str:
+    """The canonical text of the string term ``Str(text)``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _render_annots(annots: tuple[Term, ...]) -> str:

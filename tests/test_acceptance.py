@@ -111,6 +111,12 @@ def _message_consumer_cases():
 
     yield "replace with 2 groups", two_group_replace
 
+    def match_gives_text():
+        x = consume_agent_message(cfg_for(r"agent:message?match=p\(.*\)", "consumer"), base())
+        return x is not None and x.in_msg.body == "p(1,2)"
+
+    yield "match gives the rendered text", match_gives_text
+
     def headers_set():
         x = consume_agent_message(cfg_for("agent:message", "consumer"), base())
         h = x.in_msg.headers
@@ -119,8 +125,8 @@ def _message_consumer_cases():
             and h["sender"] == "c1__a"
             and h["receiver"] == "router"
             and h["msg_id"] == "m1"
-            and h["annotations"] == []
-            and x.in_msg.body == "p(1,2)"
+            and h["annotations"] == ()
+            and x.in_msg.body == parse_term("p(1,2)")
         )
 
     yield "headers and body populated", headers_set
@@ -175,7 +181,8 @@ def _action_consumer_cases():
             x.pattern is ExchangePattern.IN_OUT
             and h["actor"] == "c1__a"
             and h["actionName"] == "fetch"
-            and h["params"] == ["1", "X"]
+            and h["params"] == ("1", "X")
+            and x.in_msg.body == term.literal
         )
 
     yield "headers, params, InOut pattern", headers_and_pattern
@@ -545,7 +552,7 @@ def test_criterion_6_eip_properties():
         for child in children:
             merged = state.offer(child) or merged
         assert merged is not None
-        assert merged.in_msg.body == items
+        assert merged.in_msg.body == tuple(items)
 
     # Set-union aggregation is invariant under reply order.
     replies = ['["u1@x"]', '["u2@x","u3@x"]', '["u1@x","u4@x"]', "[]", '["u5@x"]']
@@ -562,7 +569,7 @@ def test_criterion_6_eip_properties():
         if expected is None:
             expected = merged.in_msg.body
         assert merged.in_msg.body == expected
-    assert expected == ["u1@x", "u2@x", "u3@x", "u4@x", "u5@x"]
+    assert expected == ("u1@x", "u2@x", "u3@x", "u4@x", "u5@x")
 
     # The idempotent filter drops exactly the duplicates.
     keys = [rng.choice("abcdefgh") for _ in range(2000)]

@@ -151,9 +151,9 @@ def test_action_consumer_in_out_with_result_map():
     x = consume_agent_action(cfg, actor(), term, Sync())
     assert x is not None
     assert x.pattern is ExchangePattern.IN_OUT
-    assert x.in_msg.body == "get_email_accounts(Accounts)"
+    assert x.in_msg.body == term.literal
     assert x.in_msg.headers["actionName"] == "get_email_accounts"
-    assert x.in_msg.headers["params"] == ["Accounts"]
+    assert x.in_msg.headers["params"] == ("Accounts",)
 
 
 def test_action_consumer_register_headers():
@@ -162,7 +162,7 @@ def test_action_consumer_register_headers():
     assert x is not None
     assert x.in_msg.headers["actor"] == "c1__a"
     assert x.in_msg.headers["actionName"] == "register"
-    assert x.in_msg.body == "register"
+    assert x.in_msg.body == Atom("register")
     assert x.pattern is ExchangePattern.IN_ONLY
 
 
@@ -196,6 +196,14 @@ def test_complete_sync_action_two_pairs_bind_independently():
     reply = new_exchange(ExchangePattern.IN_OUT, None, {"h1": "ok", "h2": 7})
     bound = complete_sync_action(cfg, reply, term)
     assert render_term(bound.literal) == "q(ok,7)"
+
+
+def test_complete_sync_action_binds_term_and_sequence_headers_as_they_are():
+    cfg = cfg_for("agent:action?resultHeaderMap=h1:1,h2:2", "consumer")
+    term = ActionTerm(parse_term("q(X,Y)"))
+    reply = new_exchange(ExchangePattern.IN_OUT, None, {"h1": parse_term("f(a)"), "h2": ("a@x",)})
+    bound = complete_sync_action(cfg, reply, term)
+    assert render_term(bound.literal) == 'q(f(a),["a@x"])'
 
 
 def test_complete_sync_action_missing_header():
@@ -269,6 +277,8 @@ def test_produce_message_unparseable_content():
         produce_agent_message(container, cfg, new_exchange(body="((("))
     with pytest.raises(UnparseableContentError):
         produce_agent_message(container, cfg, new_exchange(body="[1,2]"))  # not a literal
+    with pytest.raises(UnparseableContentError):
+        produce_agent_message(container, cfg, new_exchange(body=parse_term("[1,2]")))
 
 
 # --- percept producer -----------------------------------------------------------------
@@ -349,7 +359,7 @@ def test_consume_then_produce_round_trip():
     assert got.sender == source.sender
     assert got.receiver == source.receiver
     assert got.annotations == source.annotations
-    assert got.content == source.content
+    assert got.content is source.content  # a term body is delivered as it is
 
 
 def test_adding_selectors_never_widens_acceptance():

@@ -314,7 +314,7 @@ def test_async_action_returns_true_immediately(action_setup):
     assert container.perform_action(agent, ActionTerm(Atom("register")), Async()) is True
     out = engine._buffer("out").get(timeout=1)
     assert out.in_msg.headers["actor"] == "c1__alice"
-    assert out.in_msg.body == "register"
+    assert out.in_msg.body == Atom("register")
 
 
 def test_async_action_with_free_variable_rejected(action_setup):

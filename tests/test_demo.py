@@ -184,21 +184,58 @@ def fast_scenario():
 
 
 def test_scenario_forwards_to_keyword_matches(fast_scenario, monkeypatch):
-    # Record every text the agent endpoints parse, so the bodies the routes
-    # really emit are checked against the canonical form, not a copy of them.
-    seen = []
+    # Terms stay terms inside a process: the relevance request reaches the
+    # agents as the term the route built, so it must be one whose canonical
+    # text parses back to it, and the agent endpoints parse no text at all.
+    parsed = []
+    received = []
+    deliver_local = AgentContainer.deliver_local
 
     def recording_parse_term(text):
-        seen.append(text)
+        parsed.append(text)
         return parse_term(text)
 
+    def recording_deliver_local(container, msg):
+        received.append(msg.content)
+        return deliver_local(container, msg)
+
     monkeypatch.setattr(agent_endpoints, "parse_term", recording_parse_term)
+    monkeypatch.setattr(AgentContainer, "deliver_local", recording_deliver_local)
     fast_scenario.start()
     assert wait_for(lambda: fast_scenario.forward_events())
     ((route_id, detail),) = fast_scenario.forward_events()
     assert detail == "to=[a@x] subject=budget review"
-    assert any(text.startswith("check_relevance(") for text in seen)
-    for text in seen:
+    requests = [t for t in received if t.functor == "check_relevance"]
+    assert requests
+    for term in requests:
+        assert parse_term(render_term(term)) == term
+    assert parsed == []
+
+    # Between containers the broker carries text: every text parsed where it
+    # enters the other container is canonical.
+    parsed.clear()
+    config = ScenarioConfig(
+        containers=[
+            ContainerSpec("c1", "static", [AgentSpec("ann")]),
+            ContainerSpec("c2", "static", [AgentSpec("bob")]),
+        ],
+        route_sets={"inter_container"},
+    )
+    bridge = Scenario(config)
+    try:
+        bridge.build()
+        for engine in bridge.engines.values():
+            engine.start()
+        content = parse_term('offer("say \\"hi\\"",2,[a, b])')
+        sent = AgentMessage("tell", "c1__ann", "c2__bob", content, "c1-m1")
+        bridge.containers["c1"].route_local_message(sent)
+        bob = bridge.containers["c2"].agents["c2__bob"]
+        assert wait_for(lambda: len(bob.inbox) > 0)
+        assert bob.inbox.popleft().content == content
+    finally:
+        bridge.stop()
+    assert render_term(content) in parsed
+    for text in parsed:
         assert render_term(parse_term(text)) == text
 
 

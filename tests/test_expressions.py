@@ -9,6 +9,7 @@ from routebus.expressions import (
     Placeholder,
     TypeMismatchError,
     body,
+    body_to_term,
     constant,
     eval_expr,
     expr,
@@ -18,6 +19,7 @@ from routebus.expressions import (
     stringify,
 )
 from routebus.messages import ExchangePattern, RowSet, new_exchange
+from routebus.terms import parse_term
 
 
 def exchange(body=None, headers=None):
@@ -95,6 +97,18 @@ def test_body_as_string_quotes_list_elements():
     x = exchange(body=["c-1__a", "c-1__b"])
     assert eval_expr(parse_expr("${bodyAs(String)}"), x) == '["c-1__a","c-1__b"]'
     assert eval_expr(parse_expr("agents(${bodyAs(String)})"), x) == 'agents(["c-1__a","c-1__b"])'
+
+
+def test_term_and_tuple_bodies():
+    term = parse_term('p("a b",[1,x])')
+    assert stringify(term) == 'p("a b",[1,x])'
+    assert body_to_term(term) is term
+    assert eval_expr(parse_expr("got(${body})"), exchange(body=term)) == 'got(p("a b",[1,x]))'
+    x = exchange(body=("a", "b", "c"), headers={"to": "a:b"})
+    assert eval_expr(parse_expr("${body.size}"), x) == 3
+    assert eval_expr(parse_expr("${body[1]}"), x) == "b"
+    assert eval_expr(parse_expr("${bodyAs(String)}"), x) == '["a","b","c"]'
+    assert eval_expr(parse_expr('${headers.to.split(":")[1]}'), x) == "b"
 
 
 def test_eval_missing_header():

@@ -229,7 +229,7 @@ def test_engine_stopped_and_started_again_runs_routes_and_deadlines(engine):
     assert engine._buffer("got").get(timeout=2).in_msg.body == "x"
     t0 = time.monotonic()
     engine._buffer("timed").put(new_exchange(body="y", headers={"k": "1"}))
-    assert engine._buffer("flushed").get(timeout=2).in_msg.body == ["y"]
+    assert engine._buffer("flushed").get(timeout=2).in_msg.body == ("y",)
     assert time.monotonic() - t0 >= 0.09
     assert engine._buffer("ticked").get(timeout=2) is not None
 
@@ -290,7 +290,7 @@ def test_timed_bucket_schedules_its_deadline_and_flush_stops_at_first_unexpired(
     time.sleep(0.12)
     state.offer(new_exchange(body="c", headers={"k": "2"}))
     merged = state.flush_expired()
-    assert [x.in_msg.body for x in merged] == [["a", "b"]]
+    assert [x.in_msg.body for x in merged] == [("a", "b")]
     assert list(state.buckets) == ["2"]
     assert len(scheduled) == 2
 

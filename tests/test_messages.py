@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from routebus.messages import (
     new_exchange,
     parse_uri,
 )
+from routebus.terms import parse_term
 
 
 def test_parse_agent_uri():
@@ -83,14 +86,24 @@ def test_exchange_ids_ten_thousand_distinct():
     assert len(ids) == 10_000
 
 
-def test_exchange_copy_is_deep():
-    x = new_exchange(ExchangePattern.IN_ONLY, ["a"], {"h": ["v"]})
+def test_exchange_copy_owns_its_headers_and_shares_immutable_values():
+    # The library's sequence values are tuples and its terms are frozen, so a
+    # copy is isolated once it has its own header dicts.
+    x = new_exchange(ExchangePattern.IN_OUT, ("a",), {"h": ("v",), "t": parse_term("p(1)")})
+    x.out_msg = x.in_msg.copy()
     y = x.copy()
-    y.in_msg.body.append("b")
-    y.in_msg.headers["h"].append("w")
-    assert x.in_msg.body == ["a"]
-    assert x.in_msg.headers["h"] == ["v"]
     assert y.id == x.id
+    for original, copied in ((x.in_msg, y.in_msg), (x.out_msg, y.out_msg)):
+        assert copied.headers is not original.headers
+        assert copied.body is original.body
+        assert all(copied.headers[k] is original.headers[k] for k in original.headers)
+    y.in_msg.headers["h"] = ("w",)
+    y.in_msg.headers["new"] = "n"
+    assert x.in_msg.headers == {"h": ("v",), "t": parse_term("p(1)")}
+    with pytest.raises(AttributeError):
+        y.in_msg.body.append("b")
+    with pytest.raises(FrozenInstanceError):
+        y.in_msg.headers["t"].functor = "q"
 
 
 def test_rowset_rejects_mismatched_rows():

@@ -125,10 +125,10 @@ def test_split_children_carry_headers_and_indices():
 
 
 def test_split_children_own_their_headers():
-    x = new_exchange(ExchangePattern.IN_ONLY, [["a"], ["b"]], {"tags": ["t"]})
+    x = new_exchange(ExchangePattern.IN_ONLY, (("a",), ("b",)), {"tags": ("t",)})
     first, second = split_exchange(x, body())
-    first.in_msg.headers["tags"].append("changed")
-    assert x.in_msg.headers["tags"] == second.in_msg.headers["tags"] == ["t"]
+    first.in_msg.headers["tags"] = ("changed",)
+    assert x.in_msg.headers["tags"] == second.in_msg.headers["tags"] == ("t",)
     assert first.in_msg.body is x.in_msg.body[0]
 
 
@@ -148,7 +148,7 @@ def test_split_rowset_yields_single_row_children():
     x = new_exchange(ExchangePattern.IN_ONLY, rows)
     children = split_exchange(x, body())
     assert len(children) == 2
-    assert children[0].in_msg.body.rows == [{"email": "a@x"}]
+    assert children[0].in_msg.body.rows == ({"email": "a@x"},)
 
 
 # --- aggregation ------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_aggregate_size_list_append():
         if merged:
             out.append(merged)
     assert len(out) == 1
-    assert out[0].in_msg.body == ["a", "b", "c"]
+    assert out[0].in_msg.body == ("a", "b", "c")
 
 
 def test_list_append_merge_holds_the_offered_bodies():
@@ -180,7 +180,7 @@ def test_aggregate_size_one_is_pass_through():
     state = AggregateState(step)
     merged = state.offer(new_exchange(body="only", headers={"k": "x"}))
     assert merged is not None
-    assert merged.in_msg.body == ["only"]
+    assert merged.in_msg.body == ("only",)
 
 
 def test_aggregate_dynamic_size_from_header():
@@ -189,7 +189,7 @@ def test_aggregate_dynamic_size_from_header():
     assert state.offer(new_exchange(body="a", headers={"n": 2})) is None
     merged = state.offer(new_exchange(body="b", headers={"n": 2}))
     assert merged is not None
-    assert merged.in_msg.body == ["a", "b"]
+    assert merged.in_msg.body == ("a", "b")
 
 
 def test_aggregate_needs_a_completion_condition():
@@ -206,7 +206,7 @@ def test_size_and_timeout_completes_at_the_size_and_its_deadline_flushes_nothing
     t0 = time.monotonic()
     assert state.offer(new_exchange(body="a", headers={"k": "1"})) is None
     merged = state.offer(new_exchange(body="b", headers={"k": "1"}))
-    assert merged.in_msg.body == ["a", "b"]
+    assert merged.in_msg.body == ("a", "b")
     assert time.monotonic() - t0 < 0.05  # at the count, well before the timeout
     assert len(scheduled) == 1 and not state.buckets
     time.sleep(max(0.0, scheduled[0] - time.monotonic()))
@@ -221,7 +221,7 @@ def test_exchange_after_its_bucket_timed_out_is_refused_for_one_timeout():
     state = AggregateState(step)
     state.offer(new_exchange(body="a", headers={"k": "1"}))
     time.sleep(0.06)
-    assert [x.in_msg.body for x in state.flush_expired()] == [["a"]]
+    assert [x.in_msg.body for x in state.flush_expired()] == [("a",)]
     with pytest.raises(ClosedCorrelationKeyError):
         state.offer(new_exchange(body="late", headers={"k": "1"}))
     assert not state.buckets
@@ -236,7 +236,7 @@ def test_set_union_merges_reply_lists():
     state.offer(new_exchange(body='["u1@x"]', headers={"id": "1"}))
     merged = state.offer(new_exchange(body='["u1@x","u2@x"]', headers={"id": "1"}))
     assert merged is not None
-    assert merged.in_msg.body == ["u1@x", "u2@x"]
+    assert merged.in_msg.body == ("u1@x", "u2@x")
 
 
 def test_set_union_permutation_invariant():
@@ -255,6 +255,31 @@ def test_set_union_permutation_invariant():
             merged = state.offer(new_exchange(body=r, headers={"id": "1"})) or merged
         results.add(tuple(merged.in_msg.body))
     assert results == {("a@x", "b@x", "c@x")}
+
+
+def test_set_union_orders_by_rendered_text_over_text_and_list_bodies():
+    import itertools
+
+    # Rendered, 'a"x' is "a\"x", which sorts after "a@x" though '"' < '@';
+    # the backslash and the quote must not change the order by their escapes.
+    replies = [
+        ["b@x", 'q"uote@x', "a@x"],
+        '["back\\\\slash@x","a@x","z@x"]',
+        ["a#x", 'a"x'],
+        "[]",
+        [],
+    ]
+    expected = ["a#x", "a@x", 'a"x', "b@x", "back\\slash@x", 'q"uote@x', "z@x"]
+    for order in itertools.permutations(replies):
+        step = Aggregate(header("id"), SetUnion(), completion_size=len(order))
+        state = AggregateState(step)
+        merged = None
+        for r in order:
+            merged = state.offer(new_exchange(body=r, headers={"id": "1"})) or merged
+        assert list(merged.in_msg.body) == expected
+        assert stringify(merged.in_msg.body) == (
+            '["a#x","a@x","a\\"x","b@x","back\\\\slash@x","q\\"uote@x","z@x"]'
+        )
 
 
 def test_combine_body_and_header():
@@ -295,7 +320,7 @@ def test_aggregate_timeout_flush_in_route(engine):
     t0 = time.monotonic()
     out = engine._buffer("out").get(timeout=2)
     waited = time.monotonic() - t0
-    assert out.in_msg.body == ["u1@x", "u2@x"]
+    assert out.in_msg.body == ("u1@x", "u2@x")
     assert waited >= 0.04  # flushed at the bucket's deadline, not inline
 
 
@@ -315,7 +340,7 @@ def test_timed_flush_continues_at_the_next_aggregate(engine):
     for i in range(2):
         engine.send("direct:chain", new_exchange(body=str(i), headers={"id": "k"}))
     out = engine._buffer("out").get(timeout=2)
-    assert out.in_msg.body == [["0", "1"]]
+    assert out.in_msg.body == (("0", "1"),)
     with pytest.raises(Empty):
         engine._buffer("out").get(timeout=0.3)
     assert all(not state.buckets for state in route._agg_states.values())
@@ -338,7 +363,7 @@ def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
     time.sleep(0.2)
     route.start()
     out = engine._buffer("out").get(timeout=0.5)
-    assert out.in_msg.body == ["a"]
+    assert out.in_msg.body == ("a",)
     assert all(not state.buckets for state in route._agg_states.values())
 
 
@@ -355,7 +380,7 @@ def test_split_then_aggregate_identity_route(engine):
     engine.add_routes(rb)
     engine.send("direct:sa", new_exchange(body=["p", "q", "r"]))
     out = engine._buffer("out").get(timeout=1)
-    assert out.in_msg.body == ["p", "q", "r"]
+    assert out.in_msg.body == ("p", "q", "r")
 
 
 # --- idempotent consumer --------------------------------------------------------------

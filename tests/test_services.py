@@ -5,7 +5,7 @@ import pytest
 
 from routebus.messages import ExchangePattern, new_exchange
 from routebus.routing import RouteBuilder, RouteEngine
-from routebus.terms import TermSyntaxError
+from routebus.terms import Str, TermSyntaxError, parse_term
 from routebus.services import (
     BrokerComponent,
     BrokerService,
@@ -72,6 +72,16 @@ def test_destination_override_header(engine):
     engine.send("direct:send", x)
     assert broker.queue("container0000000001").get(timeout=1).in_msg.body == "m"
     assert broker.queue("dummy").empty()
+
+
+def test_broker_producer_sends_a_term_body_as_its_canonical_text(engine):
+    broker = BrokerService()
+    engine.add_component("broker", BrokerComponent(broker))
+    rb = RouteBuilder()
+    rb.from_("direct:send", route_id="send").to("broker:queue:out")
+    engine.add_routes(rb)
+    engine.send("direct:send", new_exchange(body=parse_term('offer( "a\\"b" , [1] )')))
+    assert broker.queue("out").get(timeout=1).in_msg.body == 'offer("a\\"b",[1])'
 
 
 def test_broker_queue_exactly_once_many_consumers():
@@ -215,10 +225,10 @@ def test_coord_consumer_endpoint_emits_child_lists(engine):
     )
     engine.add_routes(rb)
     first = engine._buffer("out").get(timeout=2)
-    assert first.in_msg.body == []
+    assert first.in_msg.body == ()
     coord.create(session, "/agents/agent", "c1__a", "EPHEMERAL_SEQUENTIAL")
     second = engine._buffer("out").get(timeout=2)
-    assert second.in_msg.body == ["agent0000000000"]
+    assert second.in_msg.body == ("agent0000000000",)
 
 
 def test_coord_producer_endpoint_creates_node(engine):
@@ -319,6 +329,22 @@ def test_mail_consumer_and_producer_endpoints(engine):
     assert engine.log.events(event="forward", route_id="send")
 
 
+def test_mail_producer_takes_the_text_of_string_terms_in_a_to_sequence(engine):
+    # A string term element names its text, as in list text; it is not
+    # rendered with its quotes.
+    store = MailStore()
+    engine.add_component("mailto", MailtoComponent(store))
+    rb = RouteBuilder()
+    rb.from_("direct:send", route_id="send").to("mailto:to.share")
+    engine.add_routes(rb)
+    for to in ([Str("a@x"), "b@x"], (Str("a@x"), "b@x")):
+        engine.send("direct:send", new_exchange(body="x", headers={"to": to}))
+    assert [len(store.folder(e, "inbox")) for e in ("a@x", "b@x")] == [2, 2]
+    assert store.accounts() == ["a@x", "b@x"]
+    forwards = engine.log.events(event="forward", route_id="send")
+    assert [r.detail for r in forwards] == ["to=[a@x,b@x] subject="] * 2
+
+
 def test_mail_producer_missing_recipients(engine):
     store = MailStore()
     engine.add_component("mailto", MailtoComponent(store))
@@ -382,7 +408,9 @@ def test_query_is_read_only():
     store = users_store()
     before = store.rows("users")
     rs = store.query("select email from users")
-    rs.rows.append({"email": "hack@x"})
+    with pytest.raises(AttributeError):
+        rs.rows.append({"email": "hack@x"})
+    rs.rows[0]["email"] = "hack@x"
     assert store.rows("users") == before
 
 
