@@ -8,9 +8,11 @@ contracts are kept rich enough that a full reasoning engine could be slotted
 in behind the same container interface.
 
 A started container runs each agent's cycle as a turn on its engine's loop
-when a message or percept arrives; inboxes and percept queues take writes from
-any thread.  A synchronous action suspends its cycle until the reply, while
-the container's other agents keep cycling.
+when a message or percept arrives; only that loop touches the agents' queues
+and memory, and other threads hand their work to it.  A synchronous action
+suspends its cycle until its ``Future`` is settled on the loop, while the
+other agents keep cycling.  ``_cycled``, a ``Condition`` that every turn
+notifies, lets other threads wait on the cycles.
 """
 
 from __future__ import annotations
@@ -202,7 +204,6 @@ class AgentState:
         self.inbox: deque[AgentMessage] = deque()
         self.transient: deque[PerceptEntry] = deque()
         self.persistent: list[PerceptEntry] = []
-        self.lock = threading.Lock()
         self.started = False
         self.submit: Callable[[], None] = lambda: None  # queues a turn once started
         self.queued = False
@@ -212,7 +213,7 @@ class AgentState:
     def full_name(self) -> str:
         return self.id.full_name
 
-    # -- writes (any thread) --
+    # -- writes --
 
     def ready(self) -> None:
         """Queue this agent's turn unless it is queued; the turn clears the flag
@@ -222,22 +223,20 @@ class AgentState:
             self.submit()
 
     def enqueue_message(self, msg: AgentMessage) -> None:
-        with self.lock:
-            self.inbox.append(msg)
+        self.inbox.append(msg)
         self.ready()
 
     def add_percept(self, literal: Literal, persistence: Persistence, mode: UpdateMode) -> None:
-        with self.lock:
-            if mode is UpdateMode.REPLACE_SAME_FUNCTOR_ARITY:
-                self._remove_same_shape(literal)
-            if persistence is Persistence.TRANSIENT:
-                self.transient.append(PerceptEntry(literal))
-            else:
-                # Persistent accumulation has set semantics: an identical
-                # literal is not stored twice.
-                if any(e.literal == literal for e in self.persistent):
-                    return
-                self.persistent.append(PerceptEntry(literal))
+        if mode is UpdateMode.REPLACE_SAME_FUNCTOR_ARITY:
+            self._remove_same_shape(literal)
+        if persistence is Persistence.TRANSIENT:
+            self.transient.append(PerceptEntry(literal))
+        else:
+            # Persistent accumulation has set semantics: an identical
+            # literal is not stored twice.
+            if any(e.literal == literal for e in self.persistent):
+                return
+            self.persistent.append(PerceptEntry(literal))
         self.ready()
 
     def _remove_same_shape(self, literal: Literal) -> None:
@@ -249,19 +248,17 @@ class AgentState:
     # -- reads (agent's cycle only) --
 
     def drain_for_cycle(self) -> tuple[list[PerceptEntry], list[PerceptEntry], list[AgentMessage]]:
-        with self.lock:
-            transients = list(self.transient)
-            self.transient.clear()
-            novel = [e for e in self.persistent if e.novel]
-            for e in novel:
-                e.novel = False
-            messages = list(self.inbox)
-            self.inbox.clear()
+        transients = list(self.transient)
+        self.transient.clear()
+        novel = [e for e in self.persistent if e.novel]
+        for e in novel:
+            e.novel = False
+        messages = list(self.inbox)
+        self.inbox.clear()
         return transients, novel, messages
 
     def persistent_snapshot(self) -> list[Literal]:
-        with self.lock:
-            return [e.literal for e in self.persistent]
+        return [e.literal for e in self.persistent]
 
 
 def _triggers(trigger: Trigger, event: Union[None, Literal, AgentMessage]) -> bool:
@@ -315,11 +312,11 @@ class AgentContainer:
                 self.session = coord.create_session()
         self.log = log or EventLog()
         self.agents: dict[str, AgentState] = {}
-        self._message_bindings: list = []
-        self._action_bindings: list = []
-        self._bindings_lock = threading.Lock()
+        self._message_bindings: tuple = ()
+        self._action_bindings: tuple = ()
         self._msg_seq = itertools.count(1)
         self._cycled = threading.Condition()
+        self._call: Callable = lambda fn: fn()  # the engine's ``call`` once started
 
     # -- agents --
 
@@ -332,6 +329,7 @@ class AgentContainer:
 
     def start(self, engine: RouteEngine) -> None:
         """Cycle the agents on ``engine``'s loop, each first for its startup rules."""
+        self._call = engine.call
         for agent in self.agents.values():
             agent.submit = lambda agent=agent: engine.submit(lambda: self._turn(agent))
             agent.queued = True
@@ -445,13 +443,14 @@ class AgentContainer:
         """A broadcast or a message to a local agent goes to local inboxes;
         any other is offered to the message bindings, a deadletter when none
         accepts it."""
+        self._call(lambda: self._route_local_message(msg))
+
+    def _route_local_message(self, msg: AgentMessage) -> None:
         if msg.receiver == BROADCAST or msg.receiver in self.agents:
             self.deliver_local(msg)
             return
         matched = False
-        with self._bindings_lock:
-            bindings = list(self._message_bindings)
-        for binding in bindings:
+        for binding in self._message_bindings:
             if binding.offer_message(msg):
                 matched = True
         if not matched:
@@ -494,8 +493,12 @@ class AgentContainer:
             )
         else:
             targets = [self._require_agent(name) for name in receivers]
-        for agent in targets:
-            agent.add_percept(literal, persistence, update_mode)
+
+        def add() -> None:
+            for agent in targets:
+                agent.add_percept(literal, persistence, update_mode)
+
+        self._call(add)
 
     def _require_agent(self, full_name: str) -> AgentState:
         agent = self.agents.get(full_name)
@@ -506,18 +509,14 @@ class AgentContainer:
     # -- actions --
 
     def register_message_binding(self, binding) -> None:
-        with self._bindings_lock:
-            self._message_bindings.append(binding)
+        self._message_bindings += (binding,)
 
     def register_action_binding(self, binding) -> None:
-        with self._bindings_lock:
-            self._action_bindings.append(binding)
+        self._action_bindings += (binding,)
 
     def unregister_binding(self, binding) -> None:
-        with self._bindings_lock:
-            for coll in (self._message_bindings, self._action_bindings):
-                if binding in coll:
-                    coll.remove(binding)
+        self._message_bindings = tuple(b for b in self._message_bindings if b is not binding)
+        self._action_bindings = tuple(b for b in self._action_bindings if b is not binding)
 
     def perform_action(self, agent: AgentState, term: ActionTerm, mode: ActionMode):
         """Dispatch an action to matching action-consumer endpoints.
@@ -528,8 +527,7 @@ class AgentContainer:
         and returns a ``Future`` of the term with the reply's mapped headers
         bound onto its variables, or of ``ActionTimeoutError``.
         """
-        with self._bindings_lock:
-            bindings = list(self._action_bindings)
+        bindings = self._action_bindings
         if isinstance(mode, Async):
             if term.free_vars:
                 raise UnboundVariablesError(

@@ -1,4 +1,6 @@
-"""Exchange, message and endpoint-URI model shared by all routes and endpoints."""
+"""Exchange, message and endpoint-URI model shared by all routes and endpoints.
+
+``_SEQ_LOCK`` guards the exchange-id counter, which every thread draws from."""
 
 from __future__ import annotations
 

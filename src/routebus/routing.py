@@ -14,6 +14,13 @@ copy and return.  Each aggregate step has one bucket state, made with the
 route.  A bucket completes on its size or its timeout, whichever comes first;
 a timed-out bucket is flushed on the loop, and the merged exchange continues
 at the step after that aggregate, as one completed by size does.
+
+Only the loop touches route state, aggregate buckets and the deadline heap,
+so they have no lock; other threads get in through ``RouteEngine.submit``
+(see ``RouteEngine.call``).  The locks left: ``EventLog._lock``, as other
+threads read the log, and ``IdempotentRepository._lock``, as a repository
+may serve several engines.  An idle loop sleeps on the ``Event``
+``RouteEngine._wake``, and a ``call`` that waits on a ``Future``.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ import itertools
 import logging
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from queue import Empty, Queue
 from typing import Callable, Optional, Union
 
 from .expressions import (
@@ -461,8 +468,9 @@ class Component:
         raise EndpointInitError(f"{uri.scheme}: does not support producers")
 
 
-class Channel(Queue):
-    """An unbounded FIFO queue that calls each of its listeners after every put.
+class Channel:
+    """An unbounded FIFO of ``items`` that calls each of its listeners after
+    every put, from any thread.
 
     A route consumes a channel by listening with its ``ready`` and taking one
     item per loop turn.  Its loop may also fill it, from a step or an agent
@@ -470,22 +478,26 @@ class Channel(Queue):
     on its own engine, since only the loop that waits could do that work.
     """
 
-    listeners: frozenset[Callable[[], None]] = frozenset()
+    def __init__(self):
+        self.items: deque = deque()
+        self.listeners: list[Callable[[], None]] = []
 
     def listen(self, ready: Callable[[], None]) -> None:
-        """Copy on write, so ``put`` reads the listeners without the lock."""
-        with self.mutex:
-            self.listeners = self.listeners | {ready}
+        """Once per route: a restart hands over an equal ``ready``."""
+        if ready not in self.listeners:
+            self.listeners.append(ready)
 
-    def put(self, item, block: bool = True, timeout: Optional[float] = None) -> None:
-        super().put(item, block, timeout)
+    def put(self, item) -> None:
+        self.items.append(item)
         for ready in self.listeners:
             ready()
 
     def take(self):
         """The next item, or None when the channel is empty; never blocks."""
-        with self.mutex:
-            return self._get() if self._qsize() else None
+        try:
+            return self.items.popleft()
+        except IndexError:
+            return None
 
 
 class _ChannelConsumer(Consumer):
@@ -550,11 +562,11 @@ class _BufferedComponent(Component):
 
 
 class _BufferedProducer(Producer):
-    def __init__(self, queue: Channel):
-        self._queue = queue
+    def __init__(self, channel: Channel):
+        self._channel = channel
 
     def process(self, exchange: Exchange) -> None:
-        self._queue.put(exchange.copy())
+        self._channel.put(exchange.copy())
 
 
 # --- pipeline operations (also usable standalone) -----------------------------------
@@ -608,8 +620,7 @@ class AggregateState:
     oldest bucket, and hands it to ``schedule``; a bucket completed by size
     leaves that flush nothing to do.  The key of a timed-out bucket is closed
     for one more timeout, so a late exchange under it is refused rather than
-    opening a second bucket.  The route's exchange lock serialises every
-    offer and flush."""
+    opening a second bucket.  Every offer and flush runs on the route's loop."""
 
     def __init__(self, step: Aggregate, schedule: Callable[[float], None] = lambda when: None):
         self.step = step
@@ -698,9 +709,6 @@ class RouteService:
             for i, step in enumerate(definition.steps)
             if isinstance(step, Aggregate)
         }
-        # Held by each step and each lifecycle change, which so waits out the
-        # exchange in flight.  Reentrant: a step may change its own route.
-        self._exec_lock = threading.RLock()
         self._queued = False
 
     @property
@@ -710,39 +718,43 @@ class RouteService:
     # -- lifecycle --
 
     def start(self) -> None:
-        with self._exec_lock:
-            if self.state is not RouteState.STOPPED:
-                raise InvalidTransitionError(f"{self.route_id}: start from {self.state.value}")
-            self._init_endpoints()
-            self._consumer.start(self._ready)
-            self.state = RouteState.STARTED
-            # A deadline that passed while the route was stopped flushed nothing.
-            for agg in self._agg_states.values():
-                if agg.buckets:
-                    agg.schedule(time.monotonic())
+        # On the caller's thread: no turn touches a stopped route.
+        if self.state is not RouteState.STOPPED:
+            raise InvalidTransitionError(f"{self.route_id}: start from {self.state.value}")
+        self._init_endpoints()
+        self._consumer.start(self._ready)
+        self.state = RouteState.STARTED
+        # A deadline that passed while the route was stopped flushed nothing.
+        for agg in self._agg_states.values():
+            if agg.buckets:
+                agg.schedule(time.monotonic())
         self._ready()
         self.engine.log.emit(self.route_id, "lifecycle", detail="started")
 
     def suspend(self) -> None:
-        self._transition("suspend", (RouteState.STARTED,), RouteState.SUSPENDED)
-        self.engine.log.emit(self.route_id, "lifecycle", detail="suspended")
+        self._transition("suspend", (RouteState.STARTED,), RouteState.SUSPENDED, "suspended")
 
     def resume(self) -> None:
-        self._transition("resume", (RouteState.SUSPENDED,), RouteState.STARTED)
-        self._ready()
-        self.engine.log.emit(self.route_id, "lifecycle", detail="resumed")
+        self._transition("resume", (RouteState.SUSPENDED,), RouteState.STARTED, "resumed")
 
     def stop(self) -> None:
-        with self._exec_lock:
-            self._transition("stop", (RouteState.STARTED, RouteState.SUSPENDED), RouteState.STOPPED)
-            self._consumer.stop()
-        self.engine.log.emit(self.route_id, "lifecycle", detail="stopped")
+        started = (RouteState.STARTED, RouteState.SUSPENDED)
+        self._transition("stop", started, RouteState.STOPPED, "stopped")
 
-    def _transition(self, verb: str, allowed: tuple[RouteState, ...], to: RouteState) -> None:
-        with self._exec_lock:
+    def _transition(self, verb: str, allowed: tuple, to: RouteState, done: str) -> None:
+        """Change state in a loop turn; a caller off the loop waits it out."""
+
+        def turn() -> None:
             if self.state not in allowed:
                 raise InvalidTransitionError(f"{self.route_id}: {verb} from {self.state.value}")
             self.state = to
+            if to is RouteState.STOPPED:
+                self._consumer.stop()
+            elif to is RouteState.STARTED:
+                self._ready()
+            self.engine.log.emit(self.route_id, "lifecycle", detail=done)
+
+        self.engine.call(turn, wait=True)
 
     def _init_endpoints(self) -> None:
         # Producers first: a start that failed on one is completed by the next.
@@ -776,18 +788,17 @@ class RouteService:
     def _step(self) -> None:
         """One loop turn: poll the consumer once and run what it gave."""
         self._queued = False
-        with self._exec_lock:
-            if self.state is not RouteState.STARTED:
-                return  # suspended or stopped: a resume or start readies it again
-            try:
-                delivery = self._consumer.poll()
-            except Exception:
-                logger.exception("route %s: consumer poll failed", self.route_id)
-                self.engine.log.emit(self.route_id, "error", detail="consumer poll failed")
-                return  # off the queue until its consumer or a resume readies it
-            if delivery is not None:
-                self._ready()
-                self.process(delivery.exchange, delivery.reply)
+        if self.state is not RouteState.STARTED:
+            return  # suspended or stopped: a resume or start readies it again
+        try:
+            delivery = self._consumer.poll()
+        except Exception:
+            logger.exception("route %s: consumer poll failed", self.route_id)
+            self.engine.log.emit(self.route_id, "error", detail="consumer poll failed")
+            return  # off the queue until its consumer or a resume readies it
+        if delivery is not None:
+            self._ready()
+            self.process(delivery.exchange, delivery.reply)
 
     def process(self, exchange: Exchange, reply: Optional[Callable] = None) -> None:
         try:
@@ -805,13 +816,12 @@ class RouteService:
         self._receive(exchange)
 
     def _receive(self, exchange: Exchange) -> Exchange:
-        with self._exec_lock:
-            self.engine.log.emit(self.route_id, "receive", exchange.id)
-            final = self._run(exchange, 0)
-            if final.pattern is ExchangePattern.IN_OUT:
-                # The route is done with the exchange: the reply shares its body.
-                final.out_msg = Message(dict(final.in_msg.headers), final.in_msg.body)
-            return final
+        self.engine.log.emit(self.route_id, "receive", exchange.id)
+        final = self._run(exchange, 0)
+        if final.pattern is ExchangePattern.IN_OUT:
+            # The route is done with the exchange: the reply shares its body.
+            final.out_msg = Message(dict(final.in_msg.headers), final.in_msg.body)
+        return final
 
     def _log_failure(self, x: Exchange, exc: Exception) -> None:
         logger.exception("route %s: exchange %s failed", self.route_id, x.id)
@@ -884,14 +894,13 @@ class RouteService:
     def _flush_expired(self, index: int) -> None:
         """Send the expired buckets of the aggregate at ``index`` down the
         rest of the route."""
-        with self._exec_lock:
-            if self.state is RouteState.STOPPED:
-                return
-            for merged in self._agg_states[index].flush_expired():
-                try:
-                    self._run(merged, index + 1)
-                except Exception as exc:
-                    self._log_failure(merged, exc)
+        if self.state is RouteState.STOPPED:
+            return
+        for merged in self._agg_states[index].flush_expired():
+            try:
+                self._run(merged, index + 1)
+            except Exception as exc:
+                self._log_failure(merged, exc)
 
 
 # --- engine -----------------------------------------------------------------------
@@ -910,13 +919,13 @@ class RouteEngine:
         self._services: dict[str, RouteService] = {}
         self._direct: dict[str, RouteService] = {}
         self._buffers: dict[str, Channel] = {}
-        self._lock = threading.Lock()
         self._loop: Optional[threading.Thread] = None
-        # Queued turns, and None to wake the loop.  Not a SimpleQueue: in CPython
-        # 3.11 its get() with a timeout of a few microseconds can block forever.
-        self._runnable: Queue[Optional[Callable[[], None]]] = Queue()
-        self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap, under _lock
+        self._loop_ident: Optional[int] = None  # of the running loop thread
+        self._runnable: deque[Callable[[], None]] = deque()
+        self._due: list[tuple[float, int, Callable[[], None]]] = []  # heap
         self._due_seq = itertools.count()
+        self._asleep = False
+        self._wake = threading.Event()
         self._shutdown = False
 
     # -- configuration --
@@ -934,11 +943,9 @@ class RouteEngine:
         return [self.run_route(d) if start else self.add_route(d) for d in builder.definitions()]
 
     def add_route(self, definition: RouteDefinition) -> RouteService:
-        with self._lock:
-            if definition.route_id in self._services:
-                raise RouteConfigError(f"duplicate route id {definition.route_id!r}")
-            service = RouteService(self, definition)
-            self._services[definition.route_id] = service
+        service = RouteService(self, definition)
+        if self._services.setdefault(definition.route_id, service) is not service:
+            raise RouteConfigError(f"duplicate route id {definition.route_id!r}")
         return service
 
     def run_route(self, definition: RouteDefinition) -> RouteService:
@@ -957,32 +964,59 @@ class RouteEngine:
                 service.start()
 
     def stop(self) -> None:
-        self._shutdown = True
-        self._runnable.put(None)
+        """Stop the started routes and end the loop, in one turn."""
+        self.call(self._stop, wait=True)
+        if self._loop is not None and self._loop is not threading.current_thread():
+            self._loop.join(timeout=1.0)
+
+    def _stop(self) -> None:
+        self._shutdown = True  # the loop ends after this turn
         for service in list(self._services.values()):
             if service.state is not RouteState.STOPPED:
                 service.stop()
-        if self._loop is not None:
-            self._loop.join(timeout=1.0)
+
+    # -- the way in from other threads --
 
     def submit(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` as one turn on the loop, after the turns queued before it."""
-        self._runnable.put(fn)
+        """Run ``fn`` as one turn on the loop, after the turns queued before it.
+        The one thread-safe entry: it wakes the loop only if the loop sleeps."""
+        self._runnable.append(fn)
+        if self._asleep:
+            self._wake.set()
+
+    def call(self, fn: Callable[[], object], wait: bool = False):
+        """Run ``fn`` now on the loop thread or while no loop runs, else
+        ``submit`` it; with ``wait``, the caller waits for that turn and gets
+        what ``fn`` returned or raised.  ``call_at``, ``send``, ``stop`` and
+        a route's lifecycle changes but ``start`` go through here."""
+        if self._loop_ident in (None, threading.get_ident()):
+            return fn()
+        if not wait:
+            return self.submit(fn)
+        done: Future = Future()
+
+        def turn() -> None:
+            try:
+                done.set_result(fn())
+            except Exception as exc:
+                done.set_exception(exc)
+
+        self.submit(turn)
+        return done.result()
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the loop once ``time.monotonic()`` reaches ``when``."""
-        with self._lock:
-            heapq.heappush(self._due, (when, next(self._due_seq), fn))
-        self._runnable.put(None)  # the loop recomputes its wait
+        self.call(lambda: heapq.heappush(self._due, (when, next(self._due_seq), fn)))
 
     # -- plumbing used by endpoints --
 
     def send(self, uri_text: str, exchange: Exchange) -> None:
-        """Send an exchange straight to a producer endpoint (no owning route)."""
+        """Send an exchange straight to a producer endpoint (no owning route),
+        on the loop."""
         uri = parse_uri(uri_text)
         producer = self.component(uri.scheme).create_producer(uri, self, "-")
         self.log.emit("-", "send", exchange.id, detail=uri_text)
-        producer.process(exchange)
+        self.call(lambda: producer.process(exchange), wait=True)
 
     def _register_direct(self, name: str, route: RouteService) -> None:
         current = self._direct.get(name)
@@ -996,12 +1030,10 @@ class RouteEngine:
                 del self._direct[name]
 
     def _buffer(self, name: str) -> Channel:
-        with self._lock:
-            q = self._buffers.get(name)
-            if q is None:
-                q = Channel()
-                self._buffers[name] = q
-            return q
+        channel = self._buffers.get(name)
+        if channel is None:
+            channel = self._buffers.setdefault(name, Channel())
+        return channel
 
     def _start_loop(self) -> None:
         if self._loop is None or not self._loop.is_alive():
@@ -1010,21 +1042,28 @@ class RouteEngine:
                 target=self._run_loop, name=f"{self.name}-loop", daemon=True
             )
             self._loop.start()
+            self._loop_ident = self._loop.ident  # the loop sets it too, first thing
 
     def _run_loop(self) -> None:
-        while not self._shutdown:
-            with self._lock:
-                wait = self._due[0][0] - time.monotonic() if self._due else None
-                fn = heapq.heappop(self._due)[2] if wait is not None and wait <= 0 else None
-            if fn is None:
+        self._loop_ident = threading.get_ident()
+        runnable, due = self._runnable, self._due
+        try:
+            while not self._shutdown:
+                if due and due[0][0] <= time.monotonic():
+                    fn = heapq.heappop(due)[2]
+                elif runnable:
+                    fn = runnable.popleft()
+                else:
+                    self._asleep = True  # a submit after the look below wakes it
+                    if not runnable:
+                        self._wake.wait(due[0][0] - time.monotonic() if due else None)
+                    self._asleep = False
+                    self._wake.clear()
+                    continue
                 try:
-                    fn = self._runnable.get(timeout=wait)
-                except Empty:
-                    continue  # the next deadline is due
-                if fn is None:
-                    continue  # a wake-up: recompute the wait
-            try:
-                fn()
-            except Exception:
-                logger.exception("engine %s: loop turn failed", self.name)
-                self.log.emit(self.name, "error", detail="loop turn failed")
+                    fn()
+                except Exception:
+                    logger.exception("engine %s: loop turn failed", self.name)
+                    self.log.emit(self.name, "error", detail="loop turn failed")
+        finally:
+            self._loop_ident = None

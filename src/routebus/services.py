@@ -12,8 +12,10 @@
 * ``table:DATASOURCE`` -- table store answering ``SELECT col[, col] FROM t``.
 * ``timer:NAME?delay=&period=`` -- emits empty exchanges on a schedule.
 
-All services are safe for concurrent access from engine loops and agent
-threads.
+``BrokerService``, ``CoordService`` (an ``RLock``: ``create`` makes parents
+through itself), ``MailStore`` and ``TableStore`` each keep a ``_lock`` on
+their own state, as every engine and the threads feeding a scenario share
+them; a broker queue itself is a lock-free ``Channel``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from queue import Empty
 from typing import Callable, Optional, Sequence, Union
 
 from .expressions import stringify
@@ -42,7 +43,6 @@ __all__ = [
     "CoordSession",
     "CoordNode",
     "CreateMode",
-    "WatchStream",
     "CoordComponent",
     "MailMessage",
     "MailStore",
@@ -224,17 +224,6 @@ class CoordSession:
     owned: list[str] = field(default_factory=list)
 
 
-class WatchStream(Channel):
-    """Per-consumer channel of child-name lists for one node."""
-
-    def get(self, block: bool = True, timeout: Optional[float] = None) -> Optional[list[str]]:
-        """The next list, or None when none arrives within ``timeout``."""
-        try:
-            return super().get(block, timeout)
-        except Empty:
-            return None
-
-
 class CoordService:
     """A tree of named nodes with sessions, ephemerals and child watches.
 
@@ -246,7 +235,7 @@ class CoordService:
     def __init__(self):
         self._nodes: dict[str, CoordNode] = {"/": CoordNode("/", "", "PERSISTENT")}
         self._sessions: dict[int, CoordSession] = {}
-        self._watches: dict[str, list[WatchStream]] = {}
+        self._watches: dict[str, list[Channel]] = {}
         self._session_seq = itertools.count(1)
         self._lock = threading.RLock()
 
@@ -350,19 +339,19 @@ class CoordService:
                 raise NoNodeError(path)
             return sorted(node.children)
 
-    def watch_children(self, path: str, repeat: bool = True) -> WatchStream:
+    def watch_children(self, path: str, repeat: bool = True) -> Channel:
         """Stream the current child list immediately and, with ``repeat``, on
         every change."""
         with self._lock:
             if path not in self._nodes:
                 raise NoNodeError(path)
-            stream = WatchStream()
+            stream = Channel()
             if repeat:
                 self._watches.setdefault(path, []).append(stream)
             stream.put(self.get_children(path))
             return stream
 
-    def unwatch(self, path: str, stream: WatchStream) -> None:
+    def unwatch(self, path: str, stream: Channel) -> None:
         with self._lock:
             streams = self._watches.get(path, [])
             if stream in streams:

@@ -39,18 +39,11 @@ from routebus.routing import (
 from routebus.services import BrokerService, TableComponent, TableStore
 from routebus.terms import ActionTerm, Atom, args_of, functor_of, parse_term, render_term
 
+from conftest import take, wait_for
+
 
 def report(number: int, name: str) -> None:
     print(f"[acceptance] criterion {number} ({name}): PASS")
-
-
-def wait_for(predicate, timeout=8.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def cfg_for(uri_text, role):
@@ -438,7 +431,9 @@ def test_criterion_3_registration_membership_and_expiry():
         c1 = scenario.containers["c1"]
         alice = c1.agents["c1__alice"]
         c1.perform_action(alice, ActionTerm(Atom("register")), Async())
-        assert wait_for(lambda: scenario.log.events(event="drop", route_id="c1:register"))
+        assert wait_for(
+            lambda: scenario.log.events(event="drop", route_id="c1:register"), timeout=8.0
+        )
         assert len(scenario.coord.get_children("/agents")) == 3
 
         # The membership percept arrived persistent and replacing.
@@ -449,7 +444,8 @@ def test_criterion_3_registration_membership_and_expiry():
         assert wait_for(
             lambda: all(
                 agent.memory.get("agents") == ["c1__alice", "c1__bob"] for agent in remaining
-            )
+            ),
+            timeout=8.0,
         ), "remaining agents did not perceive the shrunken membership"
         for agent in remaining:
             shapes = [(functor_of(t), len(args_of(t))) for t in agent.persistent_snapshot()]
@@ -591,9 +587,8 @@ def test_criterion_6_eip_properties():
 
     def consume():
         while True:
-            try:
-                item = broker.queue("work").get(timeout=0.2)
-            except Exception:
+            item = take(broker.queue("work"), 0.2)
+            if item is None:
                 return
             with lock:
                 seen.append(item.in_msg.body)
@@ -625,7 +620,8 @@ def test_criterion_7_mail_route_suspension_and_timed_resume():
             lambda: any(
                 r.detail == "suspended"
                 for r in scenario.log.events(event="lifecycle", route_id=mail_route)
-            )
+            ),
+            timeout=8.0,
         )
         receives_before = len(scenario.log.events(event="receive", route_id=mail_route))
         scenario.inject_mail("late@corp", "travel plans", "itinerary inside")
@@ -651,7 +647,8 @@ def test_criterion_7_mail_route_suspension_and_timed_resume():
         # The mail injected during suspension is polled after the resume.
         assert wait_for(
             lambda: len(scenario.log.events(event="receive", route_id=mail_route))
-            > receives_before
+            > receives_before,
+            timeout=8.0,
         )
     finally:
         scenario.stop()

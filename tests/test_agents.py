@@ -29,6 +29,8 @@ from routebus.routing import EventLog, RouteBuilder, RouteEngine
 from routebus.services import CoordService
 from routebus.terms import ActionTerm, Atom, parse_term, render_term
 
+from conftest import take
+
 
 @pytest.fixture
 def container():
@@ -312,7 +314,7 @@ def test_async_action_returns_true_immediately(action_setup):
     engine.add_routes(rb)
     agent = container.add_agent("alice")
     assert container.perform_action(agent, ActionTerm(Atom("register")), Async()) is True
-    out = engine._buffer("out").get(timeout=1)
+    out = take(engine._buffer("out"), 1)
     assert out.in_msg.headers["actor"] == "c1__alice"
     assert out.in_msg.body == Atom("register")
 
@@ -457,6 +459,49 @@ def test_messages_from_many_threads_are_all_handled():
     assert sorted(handled) == sorted(f"{k}-{i}" for k in range(3) for i in range(300))
 
 
+def test_percepts_from_many_threads_are_all_handled():
+    container = AgentContainer("c1")
+    engine = RouteEngine(name="c1")
+    fired = []
+
+    def handle(agent, percept):
+        time.sleep(0.0005)  # percepts arrive while a cycle runs
+        fired.append(render_term(percept))
+        return []
+
+    agent = container.add_agent("a", [BehaviorRule(OnPercept("n", 2), handle, "r")])
+    engine.start()
+    container.start(engine)
+
+    def send(k):
+        for i in range(200):
+            container.deliver_percept("c1__a", lit(f"n({k},{i})"))
+            container.deliver_percept(
+                "c1__a",
+                lit(f"level({k},{i})"),
+                Persistence.PERSISTENT,
+                UpdateMode.REPLACE_SAME_FUNCTOR_ARITY,
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        senders = [threading.Thread(target=send, args=(k,)) for k in range(3)]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(10)
+        assert not any(t.is_alive() for t in senders)
+        assert container.wait_until(lambda: len(fired) == 600, 10)
+    finally:
+        sys.setswitchinterval(interval)
+        container.stop()
+        engine.stop()
+    assert sorted(fired) == sorted(f"n({k},{i})" for k in range(3) for i in range(200))
+    stored = agent.persistent_snapshot()
+    assert len(stored) == 1 and render_term(stored[0]).startswith("level(")
+
+
 def test_threaded_container_executes_startup_and_effects(action_setup):
     container, engine = action_setup
     rb = RouteBuilder()
@@ -468,7 +513,7 @@ def test_threaded_container_executes_startup_and_effects(action_setup):
     )
     container.start(engine)
     try:
-        out = engine._buffer("out").get(timeout=2)
+        out = take(engine._buffer("out"), 2)
         assert out.in_msg.headers["actor"] == "c1__alice"
     finally:
         container.stop()

@@ -12,16 +12,9 @@ from routebus.agents import AgentContainer
 from routebus.demo import Scenario, ScenarioConfig
 from routebus.messages import new_exchange, parse_uri
 
+from conftest import wait_for
+
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
-
-
-def wait_for(predicate, timeout=6.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 def _tracer():
@@ -73,11 +66,11 @@ def test_relevance_view_is_built_once_per_change():
     scenario = Scenario(config)
     try:
         scenario.start()
-        assert wait_for(lambda: len(scenario.forward_events()) == 1)
+        assert wait_for(lambda: len(scenario.forward_events()) == 1, timeout=6.0)
         first = len(tracer.spans)
         for i in range(9):
             scenario.inject_mail("x@corp", f"budget {i}", "travel notes")
-        assert wait_for(lambda: len(scenario.forward_events()) == 10)
+        assert wait_for(lambda: len(scenario.forward_events()) == 10, timeout=6.0)
     finally:
         scenario.stop()
         tracer.uninstall()

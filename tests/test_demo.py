@@ -31,6 +31,8 @@ from routebus.demo.runner import Scenario
 from routebus.demo import cli, runner
 from routebus.terms import Compound, ListTerm, Str, parse_term, render_term
 
+from conftest import wait_for
+
 
 # --- allocation ----------------------------------------------------------------
 
@@ -165,15 +167,6 @@ def test_agent_line_with_extra_token_is_a_config_error(tmp_path):
 # --- scenario ------------------------------------------------------------------
 
 
-def wait_for(predicate, timeout=6.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.03)
-    return False
-
-
 @pytest.fixture
 def fast_scenario():
     config = ScenarioConfig.default()
@@ -202,7 +195,7 @@ def test_scenario_forwards_to_keyword_matches(fast_scenario, monkeypatch):
     monkeypatch.setattr(agent_endpoints, "parse_term", recording_parse_term)
     monkeypatch.setattr(AgentContainer, "deliver_local", recording_deliver_local)
     fast_scenario.start()
-    assert wait_for(lambda: fast_scenario.forward_events())
+    assert wait_for(lambda: fast_scenario.forward_events(), timeout=6.0)
     ((route_id, detail),) = fast_scenario.forward_events()
     assert detail == "to=[a@x] subject=budget review"
     requests = [t for t in received if t.functor == "check_relevance"]
@@ -230,7 +223,7 @@ def test_scenario_forwards_to_keyword_matches(fast_scenario, monkeypatch):
         sent = AgentMessage("tell", "c1__ann", "c2__bob", content, "c1-m1")
         bridge.containers["c1"].route_local_message(sent)
         bob = bridge.containers["c2"].agents["c2__bob"]
-        assert wait_for(lambda: len(bob.inbox) > 0)
+        assert wait_for(lambda: len(bob.inbox) > 0, timeout=6.0)
         assert bob.inbox.popleft().content == content
     finally:
         bridge.stop()
@@ -255,7 +248,7 @@ def test_hostile_mail_content_is_forwarded_intact(fast_scenario):
     fast_scenario.start()
     fast_scenario.inject_mail("x@corp", 'budget "final"', "see the draft")
     fast_scenario.inject_mail("y@corp", "travel notes", "C:\\trips\\plan")
-    assert wait_for(lambda: len(fast_scenario.forward_events()) == 2)
+    assert wait_for(lambda: len(fast_scenario.forward_events()) == 2, timeout=6.0)
     details = sorted(detail for _, detail in fast_scenario.forward_events())
     assert details == ['to=[a@x] subject=budget "final"', "to=[b@x] subject=travel notes"]
     (quoted,) = fast_scenario.mail.folder("a@x", "inbox")
@@ -300,7 +293,7 @@ def test_agent_whose_hook_raises_leaves_the_mail_to_the_fallback_timeout(fast_sc
     fast_scenario.start()
     t0 = time.monotonic()
     fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
-    assert wait_for(fast_scenario.forward_events)
+    assert wait_for(fast_scenario.forward_events, timeout=6.0)
     assert time.monotonic() - t0 >= 0.5  # the timeout forwarded what had arrived
     time.sleep(0.6)  # a second timeout passes: nothing more is forwarded
     assert forwarded_to(fast_scenario, "budget travel") == ["to=[a@x]"]
@@ -320,12 +313,13 @@ def test_reply_after_the_timeout_is_dropped_and_the_mail_forwarded_once(fast_sce
     bob = replace_relevance_hook(fast_scenario, "bob", silent)
     fast_scenario.start()
     fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
-    assert wait_for(fast_scenario.forward_events)
+    assert wait_for(fast_scenario.forward_events, timeout=6.0)
     (mail_id,) = requests
     late = AgentMessage("tell", bob.full_name, "router", relevant(mail_id, ["b@x"]), "late-1")
     fast_scenario.containers["main"].route_local_message(late)
     assert wait_for(
-        lambda: fast_scenario.log.events(event="drop", route_id="main:collect-replies")
+        lambda: fast_scenario.log.events(event="drop", route_id="main:collect-replies"),
+        timeout=6.0,
     )
     (drop,) = fast_scenario.log.events(event="drop", route_id="main:collect-replies")
     assert drop.detail == "late reply"
@@ -344,13 +338,15 @@ def test_plan_changes_add_no_routes(fast_scenario):
     for _ in range(5):
         fast_scenario.publish_plan_change("a@x")
     assert wait_for(
-        lambda: len(fast_scenario.log.events(event="receive", route_id="main:plan-suspend")) == 5
+        lambda: len(fast_scenario.log.events(event="receive", route_id="main:plan-suspend")) == 5,
+        timeout=6.0,
     )
     assert wait_for(
         lambda: any(
             r.detail == "resumed"
             for r in fast_scenario.log.events(event="lifecycle", route_id=mail_route)
-        )
+        ),
+        timeout=6.0,
     )
     time.sleep(0.3)  # every scheduled resume has run
     assert set(engine._services) == before
@@ -433,7 +429,8 @@ def test_account_change_updates_allocations(fast_scenario):
         lambda: all(
             view is not None and sorted(sum(view.values(), [])) == ["a@x", "b@x", "c@x", "d@x"]
             for view in fast_scenario.allocations().values()
-        )
+        ),
+        timeout=6.0,
     )
 
 
@@ -447,7 +444,8 @@ def test_account_changes_are_applied_without_fetching_the_list(fast_scenario):
         lambda: all(
             view is not None and sorted(sum(view.values(), [])) == ["a@x", "c@x", "d@x"]
             for view in fast_scenario.allocations().values()
-        )
+        ),
+        timeout=6.0,
     )
     assert len(fast_scenario.log.events(event="receive", route_id="main:account-query")) == fetches
 
@@ -587,25 +585,27 @@ def forwarded_to(scenario, subject):
 
 def test_added_user_gets_the_next_matching_mail(fast_scenario):
     fast_scenario.start()
-    assert wait_for(fast_scenario.forward_events)  # the start-up mail built the views
+    assert wait_for(fast_scenario.forward_events, timeout=6.0)  # the start-up mail built the views
     fast_scenario.add_user("d@x", "zebra")
     assert wait_for(
-        lambda: all("d@x" in sum(v.values(), []) for v in fast_scenario.allocations().values())
+        lambda: all("d@x" in sum(v.values(), []) for v in fast_scenario.allocations().values()),
+        timeout=6.0,
     )
     fast_scenario.inject_mail("x@corp", "zebra sighting", "see the notes")
-    assert wait_for(lambda: forwarded_to(fast_scenario, "zebra sighting"))
+    assert wait_for(lambda: forwarded_to(fast_scenario, "zebra sighting"), timeout=6.0)
     assert forwarded_to(fast_scenario, "zebra sighting") == ["to=[d@x]"]
 
 
 def test_removed_user_misses_the_next_matching_mail(fast_scenario):
     fast_scenario.start()
-    assert wait_for(fast_scenario.forward_events)
+    assert wait_for(fast_scenario.forward_events, timeout=6.0)
     fast_scenario.remove_user("a@x")
     assert wait_for(
-        lambda: all("a@x" not in sum(v.values(), []) for v in fast_scenario.allocations().values())
+        lambda: all("a@x" not in sum(v.values(), []) for v in fast_scenario.allocations().values()),
+        timeout=6.0,
     )
     fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
-    assert wait_for(lambda: forwarded_to(fast_scenario, "budget travel"))
+    assert wait_for(lambda: forwarded_to(fast_scenario, "budget travel"), timeout=6.0)
     assert forwarded_to(fast_scenario, "budget travel") == ["to=[b@x]"]
 
 

@@ -21,6 +21,7 @@ from routebus.routing import (
     ListAppend,
     RouteBuilder,
     RouteEngine,
+    RouteState,
 )
 from routebus.services import (
     BrokerComponent,
@@ -33,21 +34,14 @@ from routebus.services import (
 )
 from routebus.terms import Atom
 
+from conftest import take, wait_for
+
 
 @pytest.fixture
 def engine():
     eng = RouteEngine()
     yield eng
     eng.stop()
-
-
-def wait_for(predicate, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
 
 
 # --- every consumer kind honours suspend, resume and stop ---------------------------
@@ -115,6 +109,7 @@ SOURCES = {
 
 @pytest.mark.parametrize("kind", sorted(SOURCES))
 def test_consumer_honours_suspend_resume_stop(engine, kind):
+    threads_before = set(threading.enumerate())
     uri, feed, initial = SOURCES[kind](engine)
     rb = RouteBuilder()
     rb.from_(uri, route_id="r")
@@ -123,7 +118,7 @@ def test_consumer_honours_suspend_resume_stop(engine, kind):
     def receives():
         return len(engine.log.events(event="receive", route_id="r"))
 
-    assert wait_for(lambda: receives() >= initial)
+    assert wait_for(lambda: receives() >= initial, timeout=2.0)
     ctl.suspend()
     before = receives()
     feed()
@@ -131,15 +126,16 @@ def test_consumer_honours_suspend_resume_stop(engine, kind):
     assert receives() == before
 
     ctl.resume()
-    assert wait_for(lambda: receives() > before)
+    assert wait_for(lambda: receives() > before, timeout=2.0)
 
     t0 = time.monotonic()
     ctl.stop()
     assert time.monotonic() - t0 < 0.5
-    assert not [t for t in threading.enumerate() if t.name == "route-r"]
+    engine.stop()
+    assert [t.name for t in threading.enumerate() if t not in threads_before] == []
 
 
-# --- a failing poll parks its worker -----------------------------------------------
+# --- a failing poll leaves its route off the run queue ------------------------------
 
 
 class _FailingConsumer(Consumer):
@@ -160,6 +156,7 @@ class _FailingComponent(Component):
 
 
 def test_failing_poll_logs_once_and_parks_until_state_changes(engine):
+    threads_before = set(threading.enumerate())
     component = _FailingComponent()
     engine.add_component("failing", component)
     rb = RouteBuilder()
@@ -169,20 +166,21 @@ def test_failing_poll_logs_once_and_parks_until_state_changes(engine):
     def errors():
         return len(engine.log.events(event="error", route_id="f"))
 
-    assert wait_for(lambda: errors() == 1)
+    assert wait_for(lambda: errors() == 1, timeout=2.0)
     time.sleep(0.2)
     assert errors() == 1
     assert component.consumer.polls == 1
 
-    # A lifecycle change is what lets the worker try again.
+    # A lifecycle change is what lets the route poll again.
     ctl.suspend()
     ctl.resume()
-    assert wait_for(lambda: errors() == 2)
+    assert wait_for(lambda: errors() == 2, timeout=2.0)
 
     t0 = time.monotonic()
     ctl.stop()
     assert time.monotonic() - t0 < 0.5
-    assert not [t for t in threading.enumerate() if t.name == "route-f"]
+    engine.stop()
+    assert [t.name for t in threading.enumerate() if t not in threads_before] == []
 
 
 def test_stop_waits_for_the_exchange_in_flight(engine):
@@ -209,6 +207,50 @@ def test_stop_waits_for_the_exchange_in_flight(engine):
     assert events.index(("step-done", "")) < events.index(("lifecycle", "stopped"))
 
 
+def test_lifecycle_calls_from_a_step_and_from_another_thread(engine):
+    entered, release = threading.Event(), threading.Event()
+
+    def block(x):
+        entered.set()
+        release.wait(5)
+        engine.log.emit("blocker", "step-done", x.id)
+
+    rb = RouteBuilder()
+    rb.from_("buffered:own", route_id="own").process(
+        lambda x: engine.controller("own").suspend()
+    ).to("buffered:own-out")
+    rb.from_("buffered:stop", route_id="stopper").process(
+        lambda x: engine.controller("other").stop()
+    ).to("buffered:stop-out")
+    rb.from_("buffered:other", route_id="other")
+    rb.from_("buffered:block", route_id="blocker").process(block, "block")
+    engine.add_routes(rb)
+
+    # A step that suspends its own route goes on to its end.
+    engine._buffer("own").put(new_exchange(body="a"))
+    assert take(engine._buffer("own-out"), 2) is not None
+    assert engine.controller("own").state is RouteState.SUSPENDED
+
+    # A step that stops another route goes on to its end.
+    engine._buffer("stop").put(new_exchange(body="b"))
+    assert take(engine._buffer("stop-out"), 2) is not None
+    assert engine.controller("other").state is RouteState.STOPPED
+
+    # A suspend from another thread waits for the step in flight.
+    engine._buffer("block").put(new_exchange(body="c"))
+    assert entered.wait(2)
+    suspender = threading.Thread(target=engine.controller("blocker").suspend)
+    suspender.start()
+    suspender.join(0.2)
+    assert suspender.is_alive()
+    release.set()
+    suspender.join(2)
+    assert not suspender.is_alive()
+    assert engine.controller("blocker").state is RouteState.SUSPENDED
+    events = [(r.event, r.detail) for r in engine.log.records() if r.route_id == "blocker"]
+    assert events.index(("step-done", "")) < events.index(("lifecycle", "suspended"))
+
+
 def test_engine_stopped_and_started_again_runs_routes_and_deadlines(engine):
     engine.add_component("timer", TimerComponent())
     rb = RouteBuilder()
@@ -222,16 +264,16 @@ def test_engine_stopped_and_started_again_runs_routes_and_deadlines(engine):
     rb.from_("timer:t?delay=50", route_id="tick").to("buffered:ticked")
     engine.add_routes(rb)
     engine.stop()
-    engine._buffer("ticked").queue.clear()  # a tick of the first start
+    engine._buffer("ticked").items.clear()  # a tick of the first start
     engine.start()
 
     engine._buffer("in").put(new_exchange(body="x"))
-    assert engine._buffer("got").get(timeout=2).in_msg.body == "x"
+    assert take(engine._buffer("got"), 2).in_msg.body == "x"
     t0 = time.monotonic()
     engine._buffer("timed").put(new_exchange(body="y", headers={"k": "1"}))
-    assert engine._buffer("flushed").get(timeout=2).in_msg.body == ("y",)
+    assert take(engine._buffer("flushed"), 2).in_msg.body == ("y",)
     assert time.monotonic() - t0 >= 0.09
-    assert engine._buffer("ticked").get(timeout=2) is not None
+    assert take(engine._buffer("ticked"), 2) is not None
 
 
 # --- deadline scheduler ------------------------------------------------------------
@@ -314,9 +356,7 @@ def test_competing_consumers_on_two_engines_take_each_item_once():
     def taken():
         bodies = []
         for eng in engines:
-            out = eng._buffer("out")
-            with out.mutex:
-                bodies += [x.in_msg.body for x in out.queue]
+            bodies += [x.in_msg.body for x in tuple(eng._buffer("out").items)]
         return bodies
 
     old = sys.getswitchinterval()
@@ -335,4 +375,4 @@ def test_competing_consumers_on_two_engines_take_each_item_once():
         for eng in engines:
             eng.stop()
     assert sorted(taken()) == list(range(3000))
-    assert all(eng._buffer("out").qsize() for eng in engines)
+    assert all(eng._buffer("out").items for eng in engines)

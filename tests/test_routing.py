@@ -1,5 +1,4 @@
 import time
-from queue import Empty
 
 import pytest
 
@@ -25,6 +24,8 @@ from routebus.routing import (
 )
 from routebus.expressions import TypeMismatchError
 
+from conftest import take
+
 
 @pytest.fixture
 def engine():
@@ -33,14 +34,14 @@ def engine():
     eng.stop()
 
 
-def drain(queue, timeout=1.0):
+def drain(channel, timeout=1.0):
     got = []
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            got.append(queue.get(timeout=0.05))
-        except Exception:
+        item = take(channel, 0.05)
+        if item is None:
             break
+        got.append(item)
     return got
 
 
@@ -52,7 +53,7 @@ def test_direct_pipeline_set_body(engine):
     rb.from_("direct:a", route_id="a").set_body(constant("x")).to("buffered:sink")
     engine.add_routes(rb)
     engine.send("direct:a", new_exchange(ExchangePattern.IN_ONLY, "ignored"))
-    out = engine._buffer("sink").get(timeout=1)
+    out = take(engine._buffer("sink"), 1)
     assert out.in_msg.body == "x"
 
 
@@ -318,7 +319,7 @@ def test_aggregate_timeout_flush_in_route(engine):
     engine.send("direct:agg", new_exchange(body='["u1@x"]', headers={"id": "1"}))
     engine.send("direct:agg", new_exchange(body='["u2@x"]', headers={"id": "1"}))
     t0 = time.monotonic()
-    out = engine._buffer("out").get(timeout=2)
+    out = take(engine._buffer("out"), 2)
     waited = time.monotonic() - t0
     assert out.in_msg.body == ("u1@x", "u2@x")
     assert waited >= 0.04  # flushed at the bucket's deadline, not inline
@@ -339,10 +340,9 @@ def test_timed_flush_continues_at_the_next_aggregate(engine):
     (route,) = engine.add_routes(rb)
     for i in range(2):
         engine.send("direct:chain", new_exchange(body=str(i), headers={"id": "k"}))
-    out = engine._buffer("out").get(timeout=2)
+    out = take(engine._buffer("out"), 2)
     assert out.in_msg.body == (("0", "1"),)
-    with pytest.raises(Empty):
-        engine._buffer("out").get(timeout=0.3)
+    assert take(engine._buffer("out"), 0.3) is None
     assert all(not state.buckets for state in route._agg_states.values())
 
 
@@ -362,7 +362,7 @@ def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
     route.stop()
     time.sleep(0.2)
     route.start()
-    out = engine._buffer("out").get(timeout=0.5)
+    out = take(engine._buffer("out"), 0.5)
     assert out.in_msg.body == ("a",)
     assert all(not state.buckets for state in route._agg_states.values())
 
@@ -379,7 +379,7 @@ def test_split_then_aggregate_identity_route(engine):
     )
     engine.add_routes(rb)
     engine.send("direct:sa", new_exchange(body=["p", "q", "r"]))
-    out = engine._buffer("out").get(timeout=1)
+    out = take(engine._buffer("out"), 1)
     assert out.in_msg.body == ("p", "q", "r")
 
 
@@ -469,14 +469,14 @@ def test_suspended_route_emits_nothing_until_resumed(engine):
     rb.from_("buffered:in", route_id="pipe").to("buffered:out")
     (ctl,) = engine.add_routes(rb)
     engine._buffer("in").put(new_exchange(body="1"))
-    assert engine._buffer("out").get(timeout=1).in_msg.body == "1"
+    assert take(engine._buffer("out"), 1).in_msg.body == "1"
     ctl.suspend()
     time.sleep(0.1)
     engine._buffer("in").put(new_exchange(body="2"))
     time.sleep(0.3)
-    assert engine._buffer("out").empty()
+    assert not engine._buffer("out").items
     ctl.resume()
-    assert engine._buffer("out").get(timeout=1).in_msg.body == "2"
+    assert take(engine._buffer("out"), 1).in_msg.body == "2"
 
 
 def test_pipeline_deterministic_sequence(engine):
@@ -508,7 +508,7 @@ def test_direct_route_survives_stop_and_restart(engine):
     ctl.stop()
     engine.start()
     engine.send("direct:again", new_exchange(body="back"))
-    assert engine._buffer("out").get(timeout=1).in_msg.body == "back"
+    assert take(engine._buffer("out"), 1).in_msg.body == "back"
 
 
 def test_start_after_a_missing_component_completes_the_route(engine):
@@ -519,7 +519,7 @@ def test_start_after_a_missing_component_completes_the_route(engine):
     engine.add_component("later", engine.component("buffered"))
     engine.start()
     engine.send("direct:late", new_exchange(body="made"))
-    assert engine._buffer("out").get(timeout=1).in_msg.body == "made"
+    assert take(engine._buffer("out"), 1).in_msg.body == "made"
 
 
 def test_two_routes_cannot_share_a_direct_name(engine):

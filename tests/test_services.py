@@ -27,6 +27,8 @@ from routebus.services import (
     UnsupportedSqlError,
 )
 
+from conftest import take
+
 
 @pytest.fixture
 def engine():
@@ -41,7 +43,7 @@ def engine():
 def test_queue_message_retained_until_consumed():
     broker = BrokerService()
     broker.send_queue("q1", new_exchange(body="m"))
-    assert broker.queue("q1").get(timeout=1).in_msg.body == "m"
+    assert take(broker.queue("q1"), 1).in_msg.body == "m"
 
 
 def test_topic_copies_to_each_current_subscriber():
@@ -49,8 +51,8 @@ def test_topic_copies_to_each_current_subscriber():
     s1 = broker.subscribe_topic("t")
     s2 = broker.subscribe_topic("t")
     broker.send_topic("t", new_exchange(body="m"))
-    assert s1.get(timeout=1).in_msg.body == "m"
-    assert s2.get(timeout=1).in_msg.body == "m"
+    assert take(s1, 1).in_msg.body == "m"
+    assert take(s2, 1).in_msg.body == "m"
 
 
 def test_topic_subscriber_after_publish_misses_message():
@@ -58,8 +60,8 @@ def test_topic_subscriber_after_publish_misses_message():
     broker.send_topic("t", new_exchange(body="early"))
     late = broker.subscribe_topic("t")
     broker.send_topic("t", new_exchange(body="late"))
-    assert late.get(timeout=1).in_msg.body == "late"
-    assert late.empty()
+    assert take(late, 1).in_msg.body == "late"
+    assert not late.items
 
 
 def test_destination_override_header(engine):
@@ -70,8 +72,8 @@ def test_destination_override_header(engine):
     engine.add_routes(rb)
     x = new_exchange(body="m", headers={"broker.destination": "container0000000001"})
     engine.send("direct:send", x)
-    assert broker.queue("container0000000001").get(timeout=1).in_msg.body == "m"
-    assert broker.queue("dummy").empty()
+    assert take(broker.queue("container0000000001"), 1).in_msg.body == "m"
+    assert not broker.queue("dummy").items
 
 
 def test_broker_producer_sends_a_term_body_as_its_canonical_text(engine):
@@ -81,7 +83,7 @@ def test_broker_producer_sends_a_term_body_as_its_canonical_text(engine):
     rb.from_("direct:send", route_id="send").to("broker:queue:out")
     engine.add_routes(rb)
     engine.send("direct:send", new_exchange(body=parse_term('offer( "a\\"b" , [1] )')))
-    assert broker.queue("out").get(timeout=1).in_msg.body == 'offer("a\\"b",[1])'
+    assert take(broker.queue("out"), 1).in_msg.body == 'offer("a\\"b",[1])'
 
 
 def test_broker_queue_exactly_once_many_consumers():
@@ -94,9 +96,8 @@ def test_broker_queue_exactly_once_many_consumers():
 
     def consume():
         while True:
-            try:
-                x = broker.queue("work").get(timeout=0.2)
-            except Exception:
+            x = take(broker.queue("work"), 0.2)
+            if x is None:
                 return
             with lock:
                 seen.append(x.in_msg.body)
@@ -116,7 +117,7 @@ def test_broker_route_bridge_queue_consumer(engine):
     rb.from_("broker:queue:c1", route_id="in").to("buffered:sink")
     engine.add_routes(rb)
     broker.send_queue("c1", new_exchange(body="remote"))
-    assert engine._buffer("sink").get(timeout=2).in_msg.body == "remote"
+    assert take(engine._buffer("sink"), 2).in_msg.body == "remote"
 
 
 # --- coordination ----------------------------------------------------------------
@@ -175,22 +176,22 @@ def test_watch_emits_current_list_then_changes():
     session = coord.create_session()
     coord.create(session, "/agents/agent", "", "EPHEMERAL_SEQUENTIAL")
     stream = coord.watch_children("/agents", repeat=True)
-    assert stream.get(timeout=1) == ["agent0000000000"]
+    assert take(stream, 1) == ["agent0000000000"]
     coord.create(session, "/agents/agent", "", "EPHEMERAL_SEQUENTIAL")
-    assert stream.get(timeout=1) == ["agent0000000000", "agent0000000001"]
+    assert take(stream, 1) == ["agent0000000000", "agent0000000001"]
 
 
 def test_watch_one_emission_per_change():
     coord = CoordService()
     coord.create(None, "/g")
     stream = coord.watch_children("/g", repeat=True)
-    assert stream.get(timeout=1) == []
+    assert take(stream, 1) == []
     session = coord.create_session()
     for _ in range(3):
         coord.create(session, "/g/n", "", "EPHEMERAL_SEQUENTIAL")
     emissions = []
     while True:
-        got = stream.get(timeout=0.2)
+        got = take(stream, 0.2)
         if got is None:
             break
         emissions.append(got)
@@ -206,11 +207,11 @@ def test_session_expiry_deletes_ephemerals_and_fires_watch():
     coord.create(s1, "/agents/agent", "b", "EPHEMERAL_SEQUENTIAL")
     keep = coord.create(s2, "/agents/agent", "c", "EPHEMERAL_SEQUENTIAL")
     stream = coord.watch_children("/agents", repeat=True)
-    stream.get(timeout=1)  # initial 3-element list
+    take(stream, 1)  # initial 3-element list
     coord.expire_session(s1)
     final = None
     for _ in range(2):  # two deletions, one emission each
-        final = stream.get(timeout=1)
+        final = take(stream, 1)
     assert final == [keep.rsplit("/", 1)[-1]]
 
 
@@ -224,10 +225,10 @@ def test_coord_consumer_endpoint_emits_child_lists(engine):
         "buffered:out"
     )
     engine.add_routes(rb)
-    first = engine._buffer("out").get(timeout=2)
+    first = take(engine._buffer("out"), 2)
     assert first.in_msg.body == ()
     coord.create(session, "/agents/agent", "c1__a", "EPHEMERAL_SEQUENTIAL")
-    second = engine._buffer("out").get(timeout=2)
+    second = take(engine._buffer("out"), 2)
     assert second.in_msg.body == ("agent0000000000",)
 
 
@@ -314,7 +315,7 @@ def test_mail_consumer_and_producer_endpoints(engine):
     rb.from_("direct:send", route_id="send").to("mailto:to.share")
     engine.add_routes(rb)
     store.deliver(["to.share"], "alice@x", "subj", "the body")
-    polled = engine._buffer("got").get(timeout=2)
+    polled = take(engine._buffer("got"), 2)
     assert polled.in_msg.headers["from"] == "alice@x"
     assert polled.in_msg.headers["subject"] == "subj"
     assert polled.in_msg.body == "the body"
@@ -420,9 +421,9 @@ def test_mutation_publishes_change_descriptor():
     store.configure_notifications("users", "account-changes", "account", "email")
     sub = broker.subscribe_topic("account-changes")
     store.mutate("users", "insert", {"email": "c@x", "interests": "hr"})
-    assert sub.get(timeout=1).in_msg.body == 'account_added("c@x")'
+    assert take(sub, 1).in_msg.body == 'account_added("c@x")'
     store.mutate("users", "delete", {"email": "c@x"})
-    assert sub.get(timeout=1).in_msg.body == 'account_removed("c@x")'
+    assert take(sub, 1).in_msg.body == 'account_removed("c@x")'
     assert [r["email"] for r in store.rows("users")] == ["a@x", "b@x"]
 
 
@@ -453,11 +454,11 @@ def test_timer_one_shot(engine):
     rb.from_("timer:t?delay=100", route_id="t").to("buffered:ticks")
     engine.add_routes(rb)
     t0 = time.monotonic()
-    tick = engine._buffer("ticks").get(timeout=2)
+    tick = take(engine._buffer("ticks"), 2)
     assert tick.in_msg.body is None
     assert time.monotonic() - t0 >= 0.08
     time.sleep(0.3)
-    assert engine._buffer("ticks").empty()
+    assert not engine._buffer("ticks").items
 
 
 def test_timer_periodic(engine):
@@ -467,5 +468,5 @@ def test_timer_periodic(engine):
     engine.add_routes(rb)
     time.sleep(0.25)
     engine.stop()
-    count = engine._buffer("ticks").qsize()
+    count = len(engine._buffer("ticks").items)
     assert count >= 3
