@@ -19,7 +19,10 @@ profile covers the whole scenario, start-up included; the CPU time per mail
 covers the mails alone and is measured with the profilers on, so it reads
 several times higher than the benchmark's.  After the table by self time,
 the callers of the three functions with the most self time are listed, then
-one line per thread with its name and its profiled CPU seconds.
+one line per thread with its name and its profiled CPU seconds, then the
+summary, which ends with the loop turns per mail: route turns are the calls
+of ``RouteService._step`` and agent turns those of ``AgentContainer._turn``,
+counted in the merged profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -46,6 +49,9 @@ from workloads import BURST_EVERY_S, WORKLOADS, make_inputs  # noqa: E402
 
 OUTCOME_TIMEOUT_S = 60.0
 
+# Each kind of loop turn, by the file and name of the function it runs.
+TURNS = {"route": ("routing.py", "_step"), "agent": ("agents.py", "_turn")}
+
 
 def inputs_for(name: str, seed: int, mails: int):
     """The workload's inputs, cut to the first ``mails`` mails."""
@@ -59,6 +65,16 @@ def inputs_for(name: str, seed: int, mails: int):
     last_due = chosen[-1].due
     changes = [m for m in inputs.mutations if m.due <= last_due]
     return inputs, sorted([*chosen, *changes], key=lambda e: e.due), len(chosen)
+
+
+def turn_calls(stats: pstats.Stats) -> dict[str, int]:
+    """The calls of each kind of loop turn in the merged profile."""
+    counts = dict.fromkeys(TURNS, 0)
+    for (path, _line, func), (_primitive, calls, *_times) in stats.stats.items():
+        for kind, (file, name) in TURNS.items():
+            if func == name and Path(path).name == file:
+                counts[kind] += calls
+    return counts
 
 
 def main(argv=None) -> int:
@@ -108,6 +124,12 @@ def main(argv=None) -> int:
     print(
         f"{args.workload} seed={args.seed}: {mails} mails, {len(profiles)} threads profiled, "
         f"{cpu_ms / mails:.2f} CPU ms per mail (profiled)"
+    )
+    turns = turn_calls(stats)
+    print(
+        f"loop turns per mail: {turns['route'] / mails:.3f} route "
+        f"({turns['route']} RouteService._step calls), {turns['agent'] / mails:.3f} agent "
+        f"({turns['agent']} AgentContainer._turn calls)"
     )
     if not done:
         print("profile_workload: not every mail reached an outcome", file=sys.stderr)

@@ -6,8 +6,8 @@ aggregate, idempotent-consumer, custom hooks), ending at producer endpoints.
 
 Execution model: each engine runs one loop thread, ``<engine>-loop``, with a
 FIFO run queue of turns and the deadlines of ``RouteEngine.call_at``.  It runs
-a due call first, else the next turn: a readied route polls its consumer once
-and runs that one exchange, an agent runs one cycle; so routes, agents and
+a due call first, else the next turn: a route runs its consumer's backlog at
+the turn's start, up to a due call, an agent one cycle; so routes, agents and
 deadlines stay fair under load.  ``direct:`` producers run the target route's
 pipeline inline on the caller's context; ``buffered:`` producers enqueue a
 copy and return.  Each aggregate step has one bucket state, made with the
@@ -438,7 +438,8 @@ class Consumer:
     blocks: it returns the next delivery or None.  A consumer fed inline by
     its producers (``direct:``) has nothing to poll.  A stopped route stays a
     listener: its ``ready`` costs the loop one idle turn, and a restart hands
-    over an equal ``ready``, which a listener set holds once.
+    over an equal ``ready``, which a listener set holds once.  ``backlog()``,
+    read after a turn's first poll, is how many more polls that turn makes.
     """
 
     def start(self, ready: Callable[[], None]) -> None:
@@ -449,6 +450,9 @@ class Consumer:
 
     def poll(self) -> Optional[Delivery]:
         return None
+
+    def backlog(self) -> int:
+        return 0
 
 
 class Producer:
@@ -472,8 +476,8 @@ class Channel:
     """An unbounded FIFO of ``items`` that calls each of its listeners after
     every put, from any thread.
 
-    A route consumes a channel by listening with its ``ready`` and taking one
-    item per loop turn.  Its loop may also fill it, from a step or an agent
+    A route listens with its ``ready`` and takes, per turn, the items present
+    at the turn's start.  Its loop may also fill it, from a step or an agent
     cycle, so it has no bound to wait on; and no step or cycle waits for work
     on its own engine, since only the loop that waits could do that work.
     """
@@ -512,6 +516,9 @@ class _ChannelConsumer(Consumer):
     def poll(self) -> Optional[Delivery]:
         item = self.channel.take()
         return None if item is None else self._delivery(item)
+
+    def backlog(self) -> int:
+        return len(self.channel.items)
 
     def _delivery(self, item) -> Delivery:
         return Delivery(item)
@@ -778,27 +785,41 @@ class RouteService:
     def _ready(self) -> None:
         """Put the route on its engine's run queue unless it is there (any thread).
 
-        The flag is set just before the put and cleared by the loop just before
-        the poll, so it is never left set with the route off the queue; two
-        racing callers at worst queue the route twice, an idle turn."""
+        The flag is set just before the put and through a turn that delivered,
+        which puts the route back, and cleared just before the turn's first
+        poll; two racing callers at worst queue the route twice, an idle turn."""
         if not self._queued:
             self._queued = True
             self.engine.submit(self._step)
 
     def _step(self) -> None:
-        """One loop turn: poll the consumer once and run what it gave."""
+        """One loop turn: the first poll and ``backlog()`` more, until the route
+        leaves STARTED, a poll gives nothing or a call is due; then queue again."""
         self._queued = False
         if self.state is not RouteState.STARTED:
             return  # suspended or stopped: a resume or start readies it again
+        delivery = self._poll()
+        if delivery is None:
+            return  # off the queue until its consumer or a resume readies it
+        self._queued = True  # a ready during the turn waits for its end
         try:
-            delivery = self._consumer.poll()
+            left = self._consumer.backlog()
+            while delivery is not None:
+                self.process(delivery.exchange, delivery.reply)
+                if not left or self.state is not RouteState.STARTED or self.engine._due_now():
+                    break
+                left -= 1
+                delivery = self._poll()
+        finally:
+            self.engine.submit(self._step)
+
+    def _poll(self) -> Optional[Delivery]:
+        try:
+            return self._consumer.poll()
         except Exception:
             logger.exception("route %s: consumer poll failed", self.route_id)
             self.engine.log.emit(self.route_id, "error", detail="consumer poll failed")
-            return  # off the queue until its consumer or a resume readies it
-        if delivery is not None:
-            self._ready()
-            self.process(delivery.exchange, delivery.reply)
+            return None
 
     def process(self, exchange: Exchange, reply: Optional[Callable] = None) -> None:
         try:
@@ -1008,6 +1029,9 @@ class RouteEngine:
         """Run ``fn`` on the loop once ``time.monotonic()`` reaches ``when``."""
         self.call(lambda: heapq.heappush(self._due, (when, next(self._due_seq), fn)))
 
+    def _due_now(self) -> bool:  # on the loop only
+        return bool(self._due) and self._due[0][0] <= time.monotonic()
+
     # -- plumbing used by endpoints --
 
     def send(self, uri_text: str, exchange: Exchange) -> None:
@@ -1049,7 +1073,7 @@ class RouteEngine:
         runnable, due = self._runnable, self._due
         try:
             while not self._shutdown:
-                if due and due[0][0] <= time.monotonic():
+                if self._due_now():
                     fn = heapq.heappop(due)[2]
                 elif runnable:
                     fn = runnable.popleft()

@@ -25,6 +25,7 @@ import logging
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -507,7 +508,7 @@ class _MailConsumer(Consumer):
         self._account = account
         self._delete = delete
         self._copy_to = copy_to
-        self._pending: list[MailMessage] = []
+        self._pending: deque[MailMessage] = deque()
 
     def start(self, ready: Callable[[], None]) -> None:
         self._store.listen(self._account, ready)
@@ -515,18 +516,21 @@ class _MailConsumer(Consumer):
     def poll(self) -> Optional[Delivery]:
         if not self._pending:
             try:
-                self._pending = self._store.poll(self._account, self._delete, self._copy_to)
+                self._pending = deque(self._store.poll(self._account, self._delete, self._copy_to))
             except UnknownAccountError:
                 return None  # no delivery has created the account yet
             if not self._pending:
                 return None
-        mail = self._pending.pop(0)
+        mail = self._pending.popleft()
         exchange = new_exchange(
             ExchangePattern.IN_ONLY,
             mail.body,
             {"from": mail.from_addr, "subject": mail.subject, "id": mail.id},
         )
         return Delivery(exchange)
+
+    def backlog(self) -> int:
+        return len(self._pending)
 
 
 def _recipients_from_header(value) -> list[str]:

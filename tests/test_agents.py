@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -423,6 +424,18 @@ def test_waiting_action_suspends_only_its_own_cycle(action_setup):
         container.stop()
 
 
+class _RecordingInbox(deque):
+    """An agent inbox that notes the thread of every append."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def append(self, msg):
+        self.threads.add(threading.get_ident())
+        super().append(msg)
+
+
 def test_messages_from_many_threads_are_all_handled():
     container = AgentContainer("c1")
     engine = RouteEngine(name="c1")
@@ -433,8 +446,10 @@ def test_messages_from_many_threads_are_all_handled():
         handled.append(msg.msg_id)
         return []
 
-    container.add_agent("a", [BehaviorRule(OnMessage("tell", "n"), handle, "r")])
+    agent = container.add_agent("a", [BehaviorRule(OnMessage("tell", "n"), handle, "r")])
+    agent.inbox = _RecordingInbox()
     engine.start()
+    loop = engine._loop.ident
     container.start(engine)
 
     def send(k):
@@ -457,6 +472,8 @@ def test_messages_from_many_threads_are_all_handled():
         container.stop()
         engine.stop()
     assert sorted(handled) == sorted(f"{k}-{i}" for k in range(3) for i in range(300))
+    # Only the loop writes an inbox, whichever thread sent the message.
+    assert agent.inbox.threads == {loop}
 
 
 def test_percepts_from_many_threads_are_all_handled():

@@ -1,7 +1,8 @@
 """The engine loop: every consumer kind readies its route on a delivery and
 honours suspend, resume and stop, the loop runs due calls in deadline order,
-a failing poll leaves its route off the run queue instead of retrying, and
-an engine stopped and started again runs its routes and deadlines."""
+a failing poll leaves its route off the run queue instead of retrying, a
+route's turn takes the backlog present at its start, and an engine stopped
+and started again runs its routes and deadlines."""
 
 import sys
 import threading
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from routebus.agent_endpoints import AgentComponent
-from routebus.agents import AgentContainer, AgentMessage
+from routebus.agents import AgentContainer, AgentMessage, BehaviorRule, OnMessage
 from routebus.expressions import header
 from routebus.messages import new_exchange
 from routebus.routing import (
@@ -274,6 +275,107 @@ def test_engine_stopped_and_started_again_runs_routes_and_deadlines(engine):
     assert take(engine._buffer("flushed"), 2).in_msg.body == ("y",)
     assert time.monotonic() - t0 >= 0.09
     assert take(engine._buffer("ticked"), 2) is not None
+
+
+# --- a route's turn takes the backlog present at its start --------------------------
+
+
+def test_a_due_deadline_is_not_held_behind_a_backlog(engine):
+    order = []
+
+    def step(x):
+        if x.in_msg.body == 0:
+            engine.call_at(time.monotonic() + 0.005, lambda: order.append("deadline"))
+        time.sleep(0.001)
+        order.append(x.in_msg.body)
+
+    rb = RouteBuilder()
+    rb.from_("buffered:in", route_id="r").process(step)
+    engine.add_routes(rb, start=False)
+    for i in range(50):
+        engine._buffer("in").put(new_exchange(body=i))
+    engine.start()
+    assert wait_for(lambda: len(order) == 51, timeout=5.0)
+    assert order.index("deadline") < order.index(49)
+    assert [b for b in order if b != "deadline"] == list(range(50))
+
+
+def test_what_a_turn_feeds_its_own_route_waits_behind_what_it_readied(engine):
+    container = AgentContainer("c1")
+    engine.add_component("agent", AgentComponent(container))
+    order = []
+    container.add_agent(
+        "a", [BehaviorRule(OnMessage("tell", "n"), lambda a, m: order.append(("agent", m.msg_id)) or [])]
+    )
+
+    def step(x):
+        order.append(("self", x.in_msg.body))
+        if x.in_msg.body == "a":
+            engine._buffer("self").put(new_exchange(body="fed"))
+            engine._buffer("other").put(new_exchange(body="o"))
+            container.route_local_message(AgentMessage("tell", "x", "c1__a", Atom("n"), "m1"))
+
+    rb = RouteBuilder()
+    rb.from_("buffered:self", route_id="self").process(step)
+    rb.from_("buffered:other", route_id="other").process(
+        lambda x: order.append(("other", x.in_msg.body))
+    )
+    engine.add_routes(rb, start=False)
+    for body in "abc":
+        engine._buffer("self").put(new_exchange(body=body))
+    container.start(engine)
+    engine.start()
+    assert wait_for(lambda: len(order) == 6, timeout=2.0)
+    assert order == [
+        ("self", "a"),
+        ("self", "b"),
+        ("self", "c"),
+        ("other", "o"),
+        ("agent", "m1"),
+        ("self", "fed"),
+    ]
+
+
+@pytest.mark.parametrize("verb", ["suspend", "stop"])
+def test_a_step_that_takes_its_route_out_of_started_ends_the_turn(engine, verb):
+    seen = []
+
+    def step(x):
+        seen.append(x.in_msg.body)
+        if x.in_msg.body == 2:
+            getattr(engine.controller("r"), verb)()
+
+    rb = RouteBuilder()
+    rb.from_("buffered:in", route_id="r").process(step)
+    (ctl,) = engine.add_routes(rb, start=False)
+    channel = engine._buffer("in")
+    for i in range(5):
+        channel.put(new_exchange(body=i))
+    engine.start()
+    assert wait_for(lambda: len(seen) == 3, timeout=2.0)
+    time.sleep(0.1)
+    assert seen == [0, 1, 2]
+    assert [x.in_msg.body for x in channel.items] == [3, 4]
+
+    ctl.resume() if verb == "suspend" else ctl.start()
+    assert wait_for(lambda: len(seen) == 5, timeout=2.0)
+    assert seen == list(range(5))
+
+
+def test_a_timer_route_that_stops_itself_mid_backlog_is_not_polled_again(engine):
+    engine.add_component("timer", TimerComponent())
+    rb = RouteBuilder()
+    rb.from_("timer:t?delay=0&period=5", route_id="t").process(
+        lambda x: engine.controller("t").stop()
+    )
+    (ctl,) = engine.add_routes(rb, start=False)
+    # The loop sleeps first, so overdue ticks pile up before the route's turn.
+    engine.submit(lambda: time.sleep(0.05))
+    engine.start()
+    assert wait_for(lambda: ctl.state is RouteState.STOPPED, timeout=2.0)
+    time.sleep(0.05)
+    assert len(engine.log.events(event="receive", route_id="t")) == 1
+    assert engine.log.events(event="error", route_id="t") == []
 
 
 # --- deadline scheduler ------------------------------------------------------------

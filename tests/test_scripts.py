@@ -39,3 +39,4 @@ def test_profile_workload_runs():
     assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout
     assert "was called by" in done.stdout
     assert "thread main-loop: " in done.stdout  # the engine loop's CPU line
+    assert "loop turns per mail: " in done.stdout.splitlines()[-1]
