@@ -20,9 +20,11 @@ covers the mails alone and is measured with the profilers on, so it reads
 several times higher than the benchmark's.  After the table by self time,
 the callers of the three functions with the most self time are listed, then
 one line per thread with its name and its profiled CPU seconds, then the
-summary, which ends with the loop turns per mail: route turns are the calls
-of ``RouteService._step`` and agent turns those of ``AgentContainer._turn``,
-counted in the merged profile.
+summary: the exchange copies (calls of ``Exchange.copy``) and aggregate
+offers (calls of ``AggregateState.offer``) per mail, and last the loop turns
+per mail: route turns are the calls of ``RouteService._step`` and agent turns
+those of ``AgentContainer._turn``.  Every count is read from the merged
+profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -43,6 +45,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from routebus.demo.runner import Scenario  # noqa: E402
+from routebus.messages import Exchange  # noqa: E402
+from routebus.routing import AggregateState  # noqa: E402
 
 from session import Generator, Outcomes, scenario_config  # noqa: E402
 from workloads import BURST_EVERY_S, WORKLOADS, make_inputs  # noqa: E402
@@ -75,6 +79,13 @@ def turn_calls(stats: pstats.Stats) -> dict[str, int]:
             if func == name and Path(path).name == file:
                 counts[kind] += calls
     return counts
+
+
+def code_calls(stats: pstats.Stats, fn) -> int:
+    """The calls of one function in the merged profile, found by its code
+    object, as methods of one module may share a name."""
+    entry = stats.stats.get(cProfile.label(fn.__code__))
+    return entry[1] if entry else 0
 
 
 def main(argv=None) -> int:
@@ -124,6 +135,11 @@ def main(argv=None) -> int:
     print(
         f"{args.workload} seed={args.seed}: {mails} mails, {len(profiles)} threads profiled, "
         f"{cpu_ms / mails:.2f} CPU ms per mail (profiled)"
+    )
+    copies, offers = code_calls(stats, Exchange.copy), code_calls(stats, AggregateState.offer)
+    print(
+        f"exchange copies per mail: {copies / mails:.3f} ({copies} Exchange.copy calls), "
+        f"aggregate offers per mail: {offers / mails:.3f} ({offers} AggregateState.offer calls)"
     )
     turns = turn_calls(stats)
     print(

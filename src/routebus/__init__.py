@@ -15,7 +15,6 @@ from .routing import (
     EventLog,
     IdempotentRepository,
     ListAppend,
-    CombineBodyAndHeader,
     RouteBuilder,
     RouteDefinition,
     RouteEngine,

@@ -11,7 +11,7 @@ import time
 
 from ..expressions import body, body_to_term, constant, expr, header, stringify
 from ..routing import (
-    CombineBodyAndHeader,
+    AggregationStrategy,
     IdempotentRepository,
     InvalidTransitionError,
     ListAppend,
@@ -80,15 +80,32 @@ def membership_routes(
     )
 
 
+class MissingMailError(LookupError):
+    """A reply came after its mail's bucket timed out and its key reopened."""
+
+
+class _MailToReplies(AggregationStrategy):
+    """The mail, which opened its bucket, sent to the union of the replies."""
+
+    def merge(self, exchanges):
+        mail, *replies = exchanges
+        if "subject" not in mail.in_msg.headers:
+            raise MissingMailError(mail.in_msg.headers.get("id"))
+        mail.in_msg.headers["to"] = SetUnion().merge(replies).in_msg.body if replies else ()
+        return mail
+
+
 def mail_routes(
     rb: RouteBuilder, prefix: str, account: str, aggregate_timeout_ms: int, agent_count: int
 ) -> RouteBuilder:
-    """Poll mail, scatter a relevance request to the local agents, gather their
-    reply lists, and forward the mail to the union of nominated users.
+    """Poll mail, scatter a relevance request to the local agents, and gather
+    the mail and their reply lists in one aggregate, on ``forward``, which
+    sends the mail to the union of nominated users.
 
-    Every agent replies to every request, with an empty list when nothing
-    matches, so the replies of a mail are complete once ``agent_count`` have
-    arrived; the timeout merges what has arrived when an agent fails to reply.
+    The mail opens its bucket first.  Every agent replies, with an empty list
+    when nothing matches, so the bucket is complete at ``agent_count`` + 1;
+    the timeout merges what has arrived when a reply or the request fails.
+    The merged mail goes on as ``forward``'s own: what fails is logged there.
 
     The request and the replies stay terms between the routes and the agents,
     so mail content reaches the agents as string arguments whatever characters
@@ -110,7 +127,7 @@ def mail_routes(
             f"mail:{account}?delete=true&copyTo=processed", route_id=f"{prefix}mail-poll"
         )
         .set_header("id", expr("${id}"))
-        .to("buffered:forward-message", "direct:ask-agents")
+        .to("direct:forward", "direct:ask-agents")  # in order, inline
     )
     (
         rb.from_("direct:ask-agents", route_id=f"{prefix}ask-agents")
@@ -125,16 +142,12 @@ def mail_routes(
             route_id=f"{prefix}collect-replies",
         )
         .process(read_relevant, "read-relevant")
-        .aggregate(header("id"), SetUnion())
-        .completion_timeout(aggregate_timeout_ms, size=agent_count)
-        .set_header("to", body())
-        .to("buffered:forward-message")
+        .to("direct:forward")
     )
     (
-        rb.from_("buffered:forward-message", route_id=f"{prefix}forward")
-        # The mail itself and its one recipient list.
-        .aggregate(header("id"), CombineBodyAndHeader("to"))
-        .completion_size(2)
+        rb.from_("direct:forward", route_id=f"{prefix}forward")
+        .aggregate(header("id"), _MailToReplies())
+        .completion_timeout(aggregate_timeout_ms, size=agent_count + 1)
         .set_header("from", constant("to.share@bigcorp.com"))
         .to(f"mailto:{account}")
     )

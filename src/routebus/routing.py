@@ -12,8 +12,8 @@ deadlines stay fair under load.  ``direct:`` producers run the target route's
 pipeline inline on the caller's context; ``buffered:`` producers enqueue a
 copy and return.  Each aggregate step has one bucket state, made with the
 route.  A bucket completes on its size or its timeout, whichever comes first;
-a timed-out bucket is flushed on the loop, and the merged exchange continues
-at the step after that aggregate, as one completed by size does.
+a timed-out bucket is flushed on the loop.  Either way the merged exchange
+goes on as that route's own, which logs what fails (``_continue``).
 
 Only the loop touches route state, aggregate buckets and the deadline heap,
 so they have no lock; other threads get in through ``RouteEngine.submit``
@@ -68,7 +68,6 @@ __all__ = [
     "Custom",
     "ListAppend",
     "SetUnion",
-    "CombineBodyAndHeader",
     "IdempotentRepository",
     "RouteDefinition",
     "RouteBuilder",
@@ -241,22 +240,6 @@ class SetUnion(AggregationStrategy):
 def _term_text(value) -> str:
     """The rendered term text of a body value, quoting text directly."""
     return quote(value) if isinstance(value, str) else render_term(body_to_term(value))
-
-
-class CombineBodyAndHeader(AggregationStrategy):
-    """Combine two messages: body from the one lacking the header, header from the other."""
-
-    def __init__(self, header_name: str):
-        self.header_name = header_name
-
-    def merge(self, exchanges: list[Exchange]) -> Exchange:
-        lacking = next((x for x in exchanges if self.header_name not in x.in_msg.headers), None)
-        having = next((x for x in exchanges if self.header_name in x.in_msg.headers), None)
-        base = lacking or exchanges[0]
-        merged = new_exchange(base.pattern, base.in_msg.body, base.in_msg.headers)
-        if having is not None:
-            merged.in_msg.headers[self.header_name] = having.in_msg.headers[self.header_name]
-        return merged
 
 
 class IdempotentRepository:
@@ -627,11 +610,18 @@ class AggregateState:
     oldest bucket, and hands it to ``schedule``; a bucket completed by size
     leaves that flush nothing to do.  The key of a timed-out bucket is closed
     for one more timeout, so a late exchange under it is refused rather than
-    opening a second bucket.  Every offer and flush runs on the route's loop."""
+    opening a second bucket.  A merge that raises gives its first exchange and
+    error to ``fail``, if set.  Every offer and flush runs on the route's loop."""
 
-    def __init__(self, step: Aggregate, schedule: Callable[[float], None] = lambda when: None):
+    def __init__(
+        self,
+        step: Aggregate,
+        schedule: Callable[[float], None] = lambda when: None,
+        fail: Optional[Callable[[Exchange, Exception], None]] = None,
+    ):
         self.step = step
         self.schedule = schedule
+        self.fail = fail
         self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
         self.closed: OrderedDict[str, float] = OrderedDict()  # key -> when it reopens
         self.deadline: Optional[float] = None  # of the pending flush
@@ -655,7 +645,7 @@ class AggregateState:
                 size = int(eval_expr(size, x))  # type: ignore[arg-type]
             if len(bucket.exchanges) >= int(size):
                 del self.buckets[key]
-                return self.step.strategy.merge(bucket.exchanges)
+                return self._merge(bucket.exchanges)
         return None
 
     def flush_expired(self) -> list[Exchange]:
@@ -673,10 +663,19 @@ class AggregateState:
                 break
             del self.buckets[key]
             self.closed[key] = now + timeout_s
-            merged.append(self.step.strategy.merge(bucket.exchanges))
+            if (x := self._merge(bucket.exchanges)) is not None:
+                merged.append(x)
         self._reopen(now)
         self._arm()
         return merged
+
+    def _merge(self, exchanges: list[Exchange]) -> Optional[Exchange]:
+        try:
+            return self.step.strategy.merge(exchanges)
+        except Exception as exc:
+            if self.fail is None:
+                raise
+            self.fail(exchanges[0], exc)
 
     def _arm(self) -> None:
         """Schedule the oldest bucket's flush unless a flush is pending."""
@@ -711,7 +710,9 @@ class RouteService:
         # route; a timed bucket's deadline flushes its own state only.
         self._agg_states: dict[int, AggregateState] = {
             i: AggregateState(
-                step, lambda when, i=i: engine.call_at(when, lambda: self._flush_expired(i))
+                step,
+                lambda when, i=i: engine.call_at(when, lambda: self._flush_expired(i)),
+                self._log_failure,
             )
             for i, step in enumerate(definition.steps)
             if isinstance(step, Aggregate)
@@ -836,20 +837,20 @@ class RouteService:
             raise EndpointInitError(f"direct target {self.route_id} is {self.state.value}")
         self._receive(exchange)
 
-    def _receive(self, exchange: Exchange) -> Exchange:
-        self.engine.log.emit(self.route_id, "receive", exchange.id)
-        final = self._run(exchange, 0)
-        if final.pattern is ExchangePattern.IN_OUT:
+    def _receive(self, x: Exchange) -> Exchange:
+        self.engine.log.emit(self.route_id, "receive", x.id)
+        self._run(x, 0)
+        if x.pattern is ExchangePattern.IN_OUT:
             # The route is done with the exchange: the reply shares its body.
-            final.out_msg = Message(dict(final.in_msg.headers), final.in_msg.body)
-        return final
+            x.out_msg = Message(dict(x.in_msg.headers), x.in_msg.body)
+        return x
 
     def _log_failure(self, x: Exchange, exc: Exception) -> None:
         logger.exception("route %s: exchange %s failed", self.route_id, x.id)
         self.engine.log.emit(self.route_id, "error", x.id, detail=repr(exc))
 
-    def _run(self, x: Exchange, i: int) -> Exchange:
-        """Run the route's steps on ``x`` from index ``i`` to the end."""
+    def _run(self, x: Exchange, i: int) -> None:
+        """Run the route's steps on ``x`` from index ``i`` until ``x`` ends."""
         steps = self.definition.steps
         while i < len(steps):
             step = steps[i]
@@ -860,7 +861,7 @@ class RouteService:
             elif isinstance(step, FilterEquals):
                 if stringify(eval_expr(step.expr, x)) != step.value:
                     self.engine.log.emit(self.route_id, "drop", x.id, detail="filtered")
-                    return x
+                    return
             elif isinstance(step, Custom):
                 step.fn(x)
             elif isinstance(step, To):
@@ -868,26 +869,25 @@ class RouteService:
             elif isinstance(step, Split):
                 for child in split_exchange(x, step.expr):
                     self._run(child, i + 1)
-                return x
+                return
             elif isinstance(step, IdempotentConsumer):
                 key = stringify(eval_expr(step.key, x))
                 if step.repo.contains(key):
                     self.engine.log.emit(self.route_id, "drop", x.id, detail=f"duplicate {key}")
-                    return x
+                    return
                 step.repo.add(key)
             elif isinstance(step, Aggregate):
                 try:
                     merged = self._agg_states[i].offer(x)
                 except ClosedCorrelationKeyError:
                     self.engine.log.emit(self.route_id, "drop", x.id, detail="late reply")
-                    return x
-                if merged is None:
-                    return x
-                x = merged
+                    return
+                if merged is not None:
+                    self._continue(merged, i + 1)
+                return
             else:
                 raise RouteConfigError(f"unknown processor {step!r}")
             i += 1
-        return x
 
     def _dispatch(self, step: To, x: Exchange) -> None:
         if len(step.uris) == 1:
@@ -913,15 +913,18 @@ class RouteService:
         producer.process(x)
 
     def _flush_expired(self, index: int) -> None:
-        """Send the expired buckets of the aggregate at ``index`` down the
-        rest of the route."""
+        """Send the expired buckets of the aggregate at ``index`` on."""
         if self.state is RouteState.STOPPED:
             return
         for merged in self._agg_states[index].flush_expired():
-            try:
-                self._run(merged, index + 1)
-            except Exception as exc:
-                self._log_failure(merged, exc)
+            self._continue(merged, index + 1)
+
+    def _continue(self, merged: Exchange, i: int) -> None:
+        """Run a merged exchange from step ``i`` on as this route's own."""
+        try:
+            self._run(merged, i)
+        except Exception as exc:
+            self._log_failure(merged, exc)
 
 
 # --- engine -----------------------------------------------------------------------

@@ -318,15 +318,83 @@ def test_reply_after_the_timeout_is_dropped_and_the_mail_forwarded_once(fast_sce
     late = AgentMessage("tell", bob.full_name, "router", relevant(mail_id, ["b@x"]), "late-1")
     fast_scenario.containers["main"].route_local_message(late)
     assert wait_for(
-        lambda: fast_scenario.log.events(event="drop", route_id="main:collect-replies"),
+        lambda: fast_scenario.log.events(event="drop", route_id="main:forward"),
         timeout=6.0,
     )
-    (drop,) = fast_scenario.log.events(event="drop", route_id="main:collect-replies")
+    (drop,) = fast_scenario.log.events(event="drop", route_id="main:forward")
     assert drop.detail == "late reply"
     time.sleep(0.6)  # past the timeout a bucket of the late reply would have had
     assert forwarded_to(fast_scenario, "budget travel") == ["to=[a@x]"]
     fast_scenario.stop()
     assert open_buckets(fast_scenario) == 0
+
+
+def test_reply_after_its_key_reopened_is_an_error_on_forward_and_sends_no_mail(fast_scenario):
+    requests = []
+
+    def silent(agent, msg):
+        requests.append(msg.content.args[0].text)
+        return []
+
+    fast_scenario.config.mails = []
+    bob = replace_relevance_hook(fast_scenario, "bob", silent)
+    fast_scenario.start()
+    fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
+    assert wait_for(fast_scenario.forward_events, timeout=6.0)
+    (mail_id,) = requests
+    time.sleep(1.2)  # more than two timeouts after the mail: its key has reopened
+    late = AgentMessage("tell", bob.full_name, "router", relevant(mail_id, ["b@x"]), "late-1")
+    fast_scenario.containers["main"].route_local_message(late)
+    assert wait_for(
+        lambda: fast_scenario.log.events(event="error", route_id="main:forward"), timeout=6.0
+    )
+    (error,) = fast_scenario.log.events(event="error")
+    assert "MissingMailError" in error.detail
+    assert [detail for _, detail in fast_scenario.forward_events()] == [
+        "to=[a@x] subject=budget travel"
+    ]
+    fast_scenario.stop()
+    assert open_buckets(fast_scenario) == 0
+
+
+def test_mail_whose_ask_step_fails_ends_once_on_forward_at_the_timeout(fast_scenario):
+    fast_scenario.config.mails = []
+    fast_scenario.start()
+    fast_scenario.engines["main"].controller("main:ask-agents").stop()
+    t0 = time.monotonic()
+    fast_scenario.inject_mail("x@corp", "budget travel", "see the notes")
+    assert wait_for(
+        lambda: fast_scenario.log.events(event="error", route_id="main:forward"), timeout=6.0
+    )
+    assert time.monotonic() - t0 >= 0.5  # the mail's bucket timed out
+    assert fast_scenario.log.events(event="error", route_id="main:mail-poll")  # the ask leg
+    time.sleep(0.6)  # a second timeout passes: nothing more ends on forward
+    outcomes = [
+        r.event
+        for r in fast_scenario.log.events(route_id="main:forward")
+        if r.event in ("forward", "drop", "error")
+    ]
+    assert outcomes == ["error"]
+    fast_scenario.stop()
+    assert open_buckets(fast_scenario) == 0
+
+
+def test_mail_outcomes_are_logged_on_the_forward_route(fast_scenario):
+    # bench/session.py reads each mail's outcome by these route ids: the
+    # forward event, or an error, on <container>:forward (or the poller).
+    fast_scenario.config.mails = []
+    fast_scenario.start()
+    fast_scenario.inject_mail("x@corp", "budget review", "see the notes")
+    fast_scenario.inject_mail("y@corp", "lunch menu", "soup of the day")
+    assert wait_for(
+        lambda: fast_scenario.forward_events() and fast_scenario.log.events(event="error"),
+        timeout=6.0,
+    )
+    assert [route_id for route_id, _ in fast_scenario.forward_events()] == ["main:forward"]
+    (error,) = fast_scenario.log.events(event="error")
+    assert error.route_id == "main:forward"
+    assert "MissingRecipientsError" in error.detail
+    assert not fast_scenario.log.events(event="error", route_id="main:collect-replies")
 
 
 def test_plan_changes_add_no_routes(fast_scenario):

@@ -7,7 +7,6 @@ from routebus.messages import ExchangePattern, RowSet, new_exchange
 from routebus.routing import (
     Aggregate,
     ClosedCorrelationKeyError,
-    CombineBodyAndHeader,
     IdempotentRepository,
     InvalidTransitionError,
     ListAppend,
@@ -283,30 +282,6 @@ def test_set_union_orders_by_rendered_text_over_text_and_list_bodies():
         )
 
 
-def test_combine_body_and_header():
-    step = Aggregate(header("id"), CombineBodyAndHeader("to"), completion_size=2)
-    state = AggregateState(step)
-    mail = new_exchange(body="mail text", headers={"id": "1", "subject": "s"})
-    summary = new_exchange(body='["u1@x"]', headers={"id": "1", "to": '["u1@x"]'})
-    assert state.offer(mail) is None
-    merged = state.offer(summary)
-    assert merged is not None
-    assert merged.in_msg.body == "mail text"
-    assert merged.in_msg.headers["to"] == '["u1@x"]'
-    assert merged.in_msg.headers["subject"] == "s"
-
-
-def test_combine_body_and_header_order_insensitive():
-    step = Aggregate(header("id"), CombineBodyAndHeader("to"), completion_size=2)
-    state = AggregateState(step)
-    summary = new_exchange(body='["u1@x"]', headers={"id": "1", "to": '["u1@x"]'})
-    mail = new_exchange(body="mail text", headers={"id": "1"})
-    state.offer(summary)
-    merged = state.offer(mail)
-    assert merged.in_msg.body == "mail text"
-    assert merged.in_msg.headers["to"] == '["u1@x"]'
-
-
 def test_aggregate_timeout_flush_in_route(engine):
     rb = RouteBuilder()
     (
@@ -364,6 +339,60 @@ def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
     route.start()
     out = take(engine._buffer("out"), 0.5)
     assert out.in_msg.body == ("a",)
+    assert all(not state.buckets for state in route._agg_states.values())
+
+
+def test_failure_after_a_size_completion_is_logged_on_the_aggregate_route(engine):
+    # The merged exchange continues as the aggregate route's own: B logs the
+    # failure, and the exchange that filled the bucket returns to A unharmed.
+    merged_ids = []
+
+    def boom(x):
+        merged_ids.append(x.id)
+        raise RuntimeError("after the aggregate")
+
+    rb = RouteBuilder()
+    rb.from_("buffered:a", route_id="A").to("direct:b")
+    (
+        rb.from_("direct:b", route_id="B")
+        .aggregate(header("id"), ListAppend())
+        .completion_size(2)
+        .process(boom, "boom")
+    )
+    route_a, _ = engine.add_routes(rb)
+    sent = [new_exchange(body=b, headers={"id": "k"}) for b in ("x", "y")]
+    replies = []
+    for x in sent:
+        engine.call(lambda x=x: route_a.process(x, replies.append), wait=True)
+    assert replies == sent
+    (error,) = engine.log.events(event="error")
+    assert (error.route_id, error.exchange_id) == ("B", merged_ids[0])
+    assert merged_ids[0] not in (x.id for x in sent)
+
+
+def test_merge_that_raises_on_a_timeout_is_logged_and_spares_the_other_buckets(engine):
+    class RefuseKeyA(ListAppend):
+        def merge(self, exchanges):
+            if exchanges[0].in_msg.headers["id"] == "a":
+                raise ValueError("refused")
+            return super().merge(exchanges)
+
+    rb = RouteBuilder()
+    (
+        rb.from_("direct:agg", route_id="agg")
+        .aggregate(header("id"), RefuseKeyA())
+        .completion_timeout(100)
+        .to("buffered:out")
+    )
+    (route,) = engine.add_routes(rb)
+    first = new_exchange(body="1", headers={"id": "a"})
+    engine.send("direct:agg", first)
+    engine.send("direct:agg", new_exchange(body="2", headers={"id": "b"}))
+    out = take(engine._buffer("out"), 2)
+    assert out.in_msg.body == ("2",)
+    (error,) = engine.log.events(event="error")
+    assert (error.route_id, error.exchange_id) == ("agg", first.id)
+    assert "refused" in error.detail
     assert all(not state.buckets for state in route._agg_states.values())
 
 

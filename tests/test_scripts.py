@@ -39,4 +39,7 @@ def test_profile_workload_runs():
     assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout
     assert "was called by" in done.stdout
     assert "thread main-loop: " in done.stdout  # the engine loop's CPU line
-    assert "loop turns per mail: " in done.stdout.splitlines()[-1]
+    *_, counts, turns = done.stdout.splitlines()
+    assert counts.startswith("exchange copies per mail: 2.000 (6 Exchange.copy calls)")
+    assert "aggregate offers per mail: " in counts
+    assert "loop turns per mail: " in turns
