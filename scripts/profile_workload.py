@@ -21,7 +21,8 @@ several times higher than the benchmark's.  After the table by self time,
 the callers of the three functions with the most self time are listed, then
 one line per thread with its name and its profiled CPU seconds, then the
 summary: the exchange copies (calls of ``Exchange.copy``) and aggregate
-offers (calls of ``AggregateState.offer``) per mail, and last the loop turns
+offers (calls of ``AggregateState.offer``) per mail, then the function calls
+and the calls of the builtin ``isinstance`` per mail, and last the loop turns
 per mail: route turns are the calls of ``RouteService._step`` and agent turns
 those of ``AgentContainer._turn``.  Every count is read from the merged
 profile.
@@ -52,6 +53,9 @@ from session import Generator, Outcomes, scenario_config  # noqa: E402
 from workloads import BURST_EVERY_S, WORKLOADS, make_inputs  # noqa: E402
 
 OUTCOME_TIMEOUT_S = 60.0
+
+# The merged profile's key of the builtin ``isinstance``.
+ISINSTANCE = ("~", 0, "<built-in method builtins.isinstance>")
 
 # Each kind of loop turn, by the file and name of the function it runs.
 TURNS = {"route": ("routing.py", "_step"), "agent": ("agents.py", "_turn")}
@@ -140,6 +144,11 @@ def main(argv=None) -> int:
     print(
         f"exchange copies per mail: {copies / mails:.3f} ({copies} Exchange.copy calls), "
         f"aggregate offers per mail: {offers / mails:.3f} ({offers} AggregateState.offer calls)"
+    )
+    calls, isinstances = stats.total_calls, stats.stats.get(ISINSTANCE, (0, 0))[1]
+    print(
+        f"function calls per mail: {calls / mails:.1f} ({calls} calls), "
+        f"isinstance calls per mail: {isinstances / mails:.1f} ({isinstances} isinstance calls)"
     )
     turns = turn_calls(stats)
     print(

@@ -137,19 +137,34 @@ class AgentMessage:
 
 @dataclass(frozen=True)
 class OnStartup:
-    pass
+    @property
+    def key(self) -> tuple:
+        return ("startup",)
 
 
 @dataclass(frozen=True)
 class OnPercept:
+    """Fires on a percept with this functor and arity."""
+
     functor: str
     arity: int
+
+    @property
+    def key(self) -> tuple:
+        return ("percept", self.functor, self.arity)
 
 
 @dataclass(frozen=True)
 class OnMessage:
+    """Fires on a message with this illocutionary force and content functor,
+    at any arity."""
+
     illoc_force: str
     functor: str
+
+    @property
+    def key(self) -> tuple:
+        return ("message", self.illoc_force, self.functor)
 
 
 Trigger = Union[OnStartup, OnPercept, OnMessage]
@@ -199,7 +214,7 @@ class AgentState:
 
     def __init__(self, agent_id: AgentId, behaviors: Sequence[BehaviorRule] = ()):
         self.id = agent_id
-        self.behaviors = list(behaviors)
+        self.behaviors = behaviors
         self.memory: dict[str, object] = {}
         self.inbox: deque[AgentMessage] = deque()
         self.transient: deque[PerceptEntry] = deque()
@@ -212,6 +227,19 @@ class AgentState:
     @property
     def full_name(self) -> str:
         return self.id.full_name
+
+    @property
+    def behaviors(self) -> tuple[BehaviorRule, ...]:
+        return self._behaviors
+
+    @behaviors.setter
+    def behaviors(self, rules: Sequence[BehaviorRule]) -> None:
+        """Index the rules by their trigger's ``key``, in rule order within a
+        key; ``AgentContainer._cycle`` makes each event's key the same way."""
+        self._behaviors = tuple(rules)
+        self._rules: dict[tuple, list[BehaviorRule]] = {}
+        for rule in self._behaviors:
+            self._rules.setdefault(rule.trigger.key, []).append(rule)
 
     # -- writes --
 
@@ -259,22 +287,6 @@ class AgentState:
 
     def persistent_snapshot(self) -> list[Literal]:
         return [e.literal for e in self.persistent]
-
-
-def _triggers(trigger: Trigger, event: Union[None, Literal, AgentMessage]) -> bool:
-    if event is None:
-        return isinstance(trigger, OnStartup)
-    if isinstance(event, AgentMessage):
-        return (
-            isinstance(trigger, OnMessage)
-            and event.illoc_force == trigger.illoc_force
-            and functor_of(event.content) == trigger.functor
-        )
-    return (
-        isinstance(trigger, OnPercept)
-        and functor_of(event) == trigger.functor
-        and len(args_of(event)) == trigger.arity
-    )
 
 
 class AgentContainer:
@@ -375,22 +387,26 @@ class AgentContainer:
         then the drained percepts, then the drained messages, each in arrival
         order.
 
-        Each event fires its matching rules in rule order, and a rule's
-        effects run before the next rule fires, so a hook sees what earlier
-        hooks stored and what their actions returned.  Hook errors are logged
-        and skip only the offending rule.  Yields each rule's effects once
-        they ran, and None while it waits for an action's reply.
+        Each event fires the rules indexed under its key, made once per event,
+        in rule order, and a rule's effects run before the next rule fires, so
+        a hook sees what earlier hooks stored and what their actions returned.
+        Hook errors are logged and skip only the offending rule.  Yields each
+        rule's effects once they ran, and None while it waits for an action's
+        reply.
         """
         transients, novel_persistents, messages = agent.drain_for_cycle()
-        startup = [] if agent.started else [None]
+        events: list[tuple[tuple, object]] = [] if agent.started else [(("startup",), None)]
         agent.started = True
-        percepts = [e.literal for e in (*transients, *novel_persistents)]
-        for event in [*startup, *percepts, *messages]:
-            for rule in agent.behaviors:
-                if _triggers(rule.trigger, event):
-                    fired = self._fire(agent, rule, event)
-                    yield from self._execute(agent, fired)
-                    yield fired
+        for e in (*transients, *novel_persistents):
+            literal = e.literal
+            events.append((("percept", functor_of(literal), len(args_of(literal))), literal))
+        for m in messages:
+            events.append((("message", m.illoc_force, functor_of(m.content)), m))
+        for key, event in events:
+            for rule in agent._rules.get(key, ()):
+                fired = self._fire(agent, rule, event)
+                yield from self._execute(agent, fired)
+                yield fired
 
     def _fire(self, agent: AgentState, rule: BehaviorRule, payload) -> list[AgentEffect]:
         try:

@@ -72,10 +72,10 @@ def membership_routes(
         )
         .set_header("numChildren", expr("${body.size}"))
         .split(body())
-        .process(node_to_name, "node-to-name")
+        .process(node_to_name)
         .aggregate(header("numChildren"), ListAppend())
         .completion_size(header("numChildren"))
-        .process(agents_percept, "agents-percept")
+        .process(agents_percept)
         .to("agent:percept?persistent=true&updateMode=-+")
     )
 
@@ -131,7 +131,7 @@ def mail_routes(
     )
     (
         rb.from_("direct:ask-agents", route_id=f"{prefix}ask-agents")
-        .process(check_relevance, "check-relevance")
+        .process(check_relevance)
         .set_header("receiver", constant("all"))
         .set_header("sender", constant("router"))
         .to("agent:message?illoc_force=achieve")
@@ -141,7 +141,7 @@ def mail_routes(
             "agent:message?illoc_force=tell&receiver=router",
             route_id=f"{prefix}collect-replies",
         )
-        .process(read_relevant, "read-relevant")
+        .process(read_relevant)
         .to("direct:forward")
     )
     (
@@ -182,9 +182,7 @@ def lifecycle_routes(
         engine.call_at(time.monotonic() + resume_delay_ms / 1000, resume)
 
     rb = RouteBuilder()
-    rb.from_("broker:topic:plan-changes", route_id=f"{prefix}plan-suspend").process(
-        on_plan_change, "suspend-mail-poll"
-    )
+    rb.from_("broker:topic:plan-changes", route_id=f"{prefix}plan-suspend").process(on_plan_change)
     return rb
 
 

@@ -1,8 +1,11 @@
 """Route definitions and the execution engine.
 
 A route consumes exchanges from one endpoint and runs each through an ordered
-pipeline of processors (set-header/set-body, filter, multicast, split,
-aggregate, idempotent-consumer, custom hooks), ending at producer endpoints.
+pipeline of steps (set-header/set-body, filter, multicast, split, aggregate,
+idempotent-consumer, custom hooks), ending at producer endpoints.  Each
+``RouteBuilder`` method records how to make its step; the route makes every
+step once, as a callable that runs it on an exchange and says whether the
+exchange goes on, so an exchange meets no dispatch on the step's kind.
 
 Execution model: each engine runs one loop thread, ``<engine>-loop``, with a
 FIFO run queue of turns and the deadlines of ``RouteEngine.call_at``.  It runs
@@ -10,10 +13,11 @@ a due call first, else the next turn: a route runs its consumer's backlog at
 the turn's start, up to a due call, an agent one cycle; so routes, agents and
 deadlines stay fair under load.  ``direct:`` producers run the target route's
 pipeline inline on the caller's context; ``buffered:`` producers enqueue a
-copy and return.  Each aggregate step has one bucket state, made with the
-route.  A bucket completes on its size or its timeout, whichever comes first;
-a timed-out bucket is flushed on the loop.  Either way the merged exchange
-goes on as that route's own, which logs what fails (``_continue``).
+copy and return.  Each aggregate step makes its own bucket state when the
+route makes its steps.  A bucket completes on its size or its timeout,
+whichever comes first; a timed-out bucket is flushed on the loop.  Either way
+the merged exchange goes on as that route's own, which logs what fails
+(``_continue``).
 
 Only the loop touches route state, aggregate buckets and the deadline heap,
 so they have no lock; other threads get in through ``RouteEngine.submit``
@@ -58,14 +62,7 @@ from .terms import ListTerm, parse_term, quote, render_term
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "SetHeader",
-    "SetBody",
-    "FilterEquals",
-    "To",
-    "Split",
     "Aggregate",
-    "IdempotentConsumer",
-    "Custom",
     "ListAppend",
     "SetUnion",
     "IdempotentRepository",
@@ -117,36 +114,7 @@ class ClosedCorrelationKeyError(RuntimeError):
     """An exchange arrived under the key of a bucket that timed out."""
 
 
-# --- processors ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetHeader:
-    name: str
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class SetBody:
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class FilterEquals:
-    """Pass the exchange only when the expression's text equals ``value``."""
-
-    expr: Expr
-    value: str
-
-
-@dataclass(frozen=True)
-class To:
-    uris: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Split:
-    expr: Expr
+# --- aggregation -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -164,33 +132,6 @@ class Aggregate:
     def __post_init__(self):
         if self.completion_size is None and self.completion_timeout_ms is None:
             raise RouteConfigError("aggregate needs a completion size or timeout")
-
-
-@dataclass(frozen=True)
-class IdempotentConsumer:
-    key: Expr
-    repo: "IdempotentRepository"
-
-
-@dataclass(frozen=True)
-class Custom:
-    name: str
-    fn: Callable[[Exchange], None]
-
-
-Processor = Union[
-    SetHeader,
-    SetBody,
-    FilterEquals,
-    To,
-    Split,
-    Aggregate,
-    IdempotentConsumer,
-    Custom,
-]
-
-
-# --- aggregation strategies ------------------------------------------------------
 
 
 class AggregationStrategy:
@@ -270,11 +211,17 @@ class IdempotentRepository:
 # --- definitions and builder ------------------------------------------------------
 
 
+# ``make(route, i)`` makes step ``i`` of ``route``: a callable that runs the
+# step on an exchange and returns whether the exchange goes on to step i + 1.
+Step = Callable[[Exchange], bool]
+StepMaker = Callable[["RouteService", int], Step]
+
+
 @dataclass(frozen=True)
 class RouteDefinition:
     route_id: str
     from_uri: EndpointUri
-    steps: tuple[Processor, ...] = ()
+    steps: tuple[StepMaker, ...] = ()
 
 
 class RouteBuilder:
@@ -290,7 +237,7 @@ class RouteBuilder:
     """
 
     def __init__(self):
-        self._routes: list[tuple[str, EndpointUri, list[Processor]]] = []
+        self._routes: list[tuple[str, EndpointUri, list[StepMaker]]] = []
         self._anon = 0
 
     def from_(self, uri: str, route_id: Optional[str] = None) -> "RouteBuilder":
@@ -300,41 +247,87 @@ class RouteBuilder:
         self._routes.append((route_id, parse_uri(uri), []))
         return self
 
-    def _add(self, step: Processor) -> "RouteBuilder":
+    def _add(self, make: StepMaker) -> "RouteBuilder":
         if not self._routes:
             raise RouteConfigError("call from_() before adding steps")
-        self._routes[-1][2].append(step)
+        self._routes[-1][2].append(make)
         return self
 
     def set_header(self, name: str, value: Expr) -> "RouteBuilder":
-        return self._add(SetHeader(name, value))
+        def step(x: Exchange) -> bool:
+            x.in_msg.headers[name] = eval_expr(value, x)
+            return True
+
+        return self._add(lambda route, i: step)
 
     def set_body(self, value: Expr) -> "RouteBuilder":
-        return self._add(SetBody(value))
+        def step(x: Exchange) -> bool:
+            x.in_msg.body = eval_expr(value, x)
+            return True
+
+        return self._add(lambda route, i: step)
 
     def filter_equals(self, value: Expr, text: str) -> "RouteBuilder":
-        return self._add(FilterEquals(value, text))
+        """Pass the exchange only when the expression's text equals ``text``."""
+
+        def make(route: RouteService, i: int) -> Step:
+            def step(x: Exchange) -> bool:
+                return stringify(eval_expr(value, x)) == text or route._drop(x, "filtered")
+
+            return step
+
+        return self._add(make)
 
     def to(self, *uris: str) -> "RouteBuilder":
-        return self._add(To(tuple(uris)))
+        def make(route: RouteService, i: int) -> Step:
+            for uri in uris:
+                route._producers.setdefault(uri, None)  # made at start
+
+            def step(x: Exchange) -> bool:
+                route._dispatch(uris, x)
+                return True
+
+            return step
+
+        return self._add(make)
 
     def split(self, value: Expr) -> "RouteBuilder":
-        return self._add(Split(value))
+        def make(route: RouteService, i: int) -> Step:
+            def step(x: Exchange) -> bool:
+                for child in split_exchange(x, value):
+                    route._run(child, i + 1)
+                return False
+
+            return step
+
+        return self._add(make)
 
     def aggregate(self, correlation: Expr, strategy: AggregationStrategy) -> "_AggregateSpec":
         return _AggregateSpec(self, correlation, strategy)
 
     def idempotent_consumer(self, key: Expr, repo: IdempotentRepository) -> "RouteBuilder":
-        return self._add(IdempotentConsumer(key, repo))
+        def make(route: RouteService, i: int) -> Step:
+            def step(x: Exchange) -> bool:
+                seen = stringify(eval_expr(key, x))
+                if repo.contains(seen):
+                    return route._drop(x, f"duplicate {seen}")
+                repo.add(seen)
+                return True
+
+            return step
+
+        return self._add(make)
 
     def transform_rows_to_quoted_list(self, column: str) -> "RouteBuilder":
         """Turn a row-set body into the list of one column's values."""
-        return self.process(
-            lambda x: transform_rows_to_quoted_list(x, column), "transform-rows-to-quoted-list"
-        )
+        return self.process(lambda x: transform_rows_to_quoted_list(x, column))
 
-    def process(self, fn: Callable[[Exchange], None], name: str = "process") -> "RouteBuilder":
-        return self._add(Custom(name, fn))
+    def process(self, fn: Callable[[Exchange], None]) -> "RouteBuilder":
+        def step(x: Exchange) -> bool:
+            fn(x)
+            return True
+
+        return self._add(lambda route, i: step)
 
     def definitions(self) -> list[RouteDefinition]:
         return [RouteDefinition(rid, uri, tuple(steps)) for rid, uri, steps in self._routes]
@@ -347,11 +340,35 @@ class _AggregateSpec:
         self._strategy = strategy
 
     def completion_size(self, size: Union[int, Expr]) -> RouteBuilder:
-        return self._builder._add(Aggregate(self._correlation, self._strategy, size, None))
+        return self._add(Aggregate(self._correlation, self._strategy, size, None))
 
     def completion_timeout(self, ms: int, size: Union[int, Expr, None] = None) -> RouteBuilder:
         """Complete on the timeout, or on ``size`` exchanges if that comes first."""
-        return self._builder._add(Aggregate(self._correlation, self._strategy, size, ms))
+        return self._add(Aggregate(self._correlation, self._strategy, size, ms))
+
+    def _add(self, config: Aggregate) -> RouteBuilder:
+        def make(route: RouteService, i: int) -> Step:
+            # The exchange that fills a bucket ends here; a merged bucket goes
+            # on from step i + 1 as the route's own (``_continue``).
+            state = AggregateState(
+                config,
+                lambda when: route.engine.call_at(when, lambda: route._flush_expired(state, i)),
+                route._log_failure,
+            )
+            route._aggregates.append(state)
+
+            def step(x: Exchange) -> bool:
+                try:
+                    merged = state.offer(x)
+                except ClosedCorrelationKeyError:
+                    return route._drop(x, "late reply")
+                if merged is not None:
+                    route._continue(merged, i + 1)
+                return False
+
+            return step
+
+        return self._builder._add(make)
 
 
 # --- event log -------------------------------------------------------------------
@@ -366,7 +383,9 @@ class EventRecord:
     detail: str
 
     def line(self) -> str:
-        return f"{self.ts:.6f} {self.route_id} {self.event} {self.exchange_id} {self.detail}"
+        """The record as one log line: a newline in the detail becomes a space."""
+        detail = self.detail.replace("\n", " ").replace("\r", " ")
+        return f"{self.ts:.6f} {self.route_id} {self.event} {self.exchange_id} {detail}"
 
 
 class EventLog:
@@ -379,9 +398,7 @@ class EventLog:
         self.last_activity = time.monotonic()
 
     def emit(self, route_id: str, event: str, exchange_id: str = "-", detail: str = "") -> None:
-        rec = EventRecord(
-            time.time(), route_id, event, exchange_id, detail.replace("\n", " ").replace("\r", " ")
-        )
+        rec = EventRecord(time.time(), route_id, event, exchange_id, detail)
         with self._lock:
             self._records.append(rec)
             self.last_activity = time.monotonic()
@@ -705,18 +722,10 @@ class RouteService:
         self.definition = definition
         self.state = RouteState.STOPPED
         self._consumer: Optional[Consumer] = None
-        self._producers: dict[str, Producer] = {}
-        # One state per aggregate step, keyed by the step's index in the
-        # route; a timed bucket's deadline flushes its own state only.
-        self._agg_states: dict[int, AggregateState] = {
-            i: AggregateState(
-                step,
-                lambda when, i=i: engine.call_at(when, lambda: self._flush_expired(i)),
-                self._log_failure,
-            )
-            for i, step in enumerate(definition.steps)
-            if isinstance(step, Aggregate)
-        }
+        # The ``to`` steps' URIs, each with its producer once the route started.
+        self._producers: dict[str, Optional[Producer]] = {}
+        self._aggregates: list[AggregateState] = []  # one per aggregate step
+        self._steps = tuple(make(self, i) for i, make in enumerate(definition.steps))
         self._queued = False
 
     @property
@@ -733,7 +742,7 @@ class RouteService:
         self._consumer.start(self._ready)
         self.state = RouteState.STARTED
         # A deadline that passed while the route was stopped flushed nothing.
-        for agg in self._agg_states.values():
+        for agg in self._aggregates:
             if agg.buckets:
                 agg.schedule(time.monotonic())
         self._ready()
@@ -766,16 +775,11 @@ class RouteService:
 
     def _init_endpoints(self) -> None:
         # Producers first: a start that failed on one is completed by the next.
-        for step in self.definition.steps:
-            if isinstance(step, To):
-                for text in step.uris:
-                    if text in self._producers:
-                        continue
-                    uri = parse_uri(text)
-                    comp = self.engine.component(uri.scheme)
-                    self._producers[text] = comp.create_producer(
-                        uri, self.engine, self.route_id
-                    )
+        for text, producer in self._producers.items():
+            if producer is None:
+                uri = parse_uri(text)
+                comp = self.engine.component(uri.scheme)
+                self._producers[text] = comp.create_producer(uri, self.engine, self.route_id)
         if self._consumer is None:
             uri = self.definition.from_uri
             component = self.engine.component(uri.scheme)
@@ -851,72 +855,42 @@ class RouteService:
 
     def _run(self, x: Exchange, i: int) -> None:
         """Run the route's steps on ``x`` from index ``i`` until ``x`` ends."""
-        steps = self.definition.steps
-        while i < len(steps):
-            step = steps[i]
-            if isinstance(step, SetHeader):
-                x.in_msg.headers[step.name] = eval_expr(step.expr, x)
-            elif isinstance(step, SetBody):
-                x.in_msg.body = eval_expr(step.expr, x)
-            elif isinstance(step, FilterEquals):
-                if stringify(eval_expr(step.expr, x)) != step.value:
-                    self.engine.log.emit(self.route_id, "drop", x.id, detail="filtered")
-                    return
-            elif isinstance(step, Custom):
-                step.fn(x)
-            elif isinstance(step, To):
-                self._dispatch(step, x)
-            elif isinstance(step, Split):
-                for child in split_exchange(x, step.expr):
-                    self._run(child, i + 1)
-                return
-            elif isinstance(step, IdempotentConsumer):
-                key = stringify(eval_expr(step.key, x))
-                if step.repo.contains(key):
-                    self.engine.log.emit(self.route_id, "drop", x.id, detail=f"duplicate {key}")
-                    return
-                step.repo.add(key)
-            elif isinstance(step, Aggregate):
-                try:
-                    merged = self._agg_states[i].offer(x)
-                except ClosedCorrelationKeyError:
-                    self.engine.log.emit(self.route_id, "drop", x.id, detail="late reply")
-                    return
-                if merged is not None:
-                    self._continue(merged, i + 1)
-                return
-            else:
-                raise RouteConfigError(f"unknown processor {step!r}")
+        steps = self._steps
+        while i < len(steps) and steps[i](x):
             i += 1
 
-    def _dispatch(self, step: To, x: Exchange) -> None:
-        if len(step.uris) == 1:
-            self._send(step.uris[0], x)
+    def _drop(self, x: Exchange, reason: str) -> bool:
+        """Log that ``x`` ends here; False, so a step can return it."""
+        self.engine.log.emit(self.route_id, "drop", x.id, detail=reason)
+        return False
+
+    def _dispatch(self, uris: tuple[str, ...], x: Exchange) -> None:
+        if len(uris) == 1:
+            self._send(uris[0], x)
             return
-        # Multicast: sequential, each destination on a copy; a failing
-        # destination is logged and fails the exchange after the others ran.
+        # Multicast: sequential, each destination on a copy; the first failing
+        # destination fails the exchange after the others ran.
         first_error: Optional[Exception] = None
-        for uri in step.uris:
+        for uri in uris:
             try:
                 self._send(uri, x.copy())
             except Exception as exc:
                 logger.exception("route %s: multicast to %s failed", self.route_id, uri)
-                self.engine.log.emit(self.route_id, "error", x.id, detail=f"{uri}: {exc!r}")
                 if first_error is None:
                     first_error = exc
         if first_error is not None:
             raise first_error
 
     def _send(self, uri: str, x: Exchange) -> None:
-        producer = self._producers[uri]  # every ``To`` producer is made at start
+        producer = self._producers[uri]  # made at start
         self.engine.log.emit(self.route_id, "send", x.id, detail=uri)
         producer.process(x)
 
-    def _flush_expired(self, index: int) -> None:
-        """Send the expired buckets of the aggregate at ``index`` on."""
+    def _flush_expired(self, state: AggregateState, index: int) -> None:
+        """Send the expired buckets of ``state``, the aggregate at ``index``, on."""
         if self.state is RouteState.STOPPED:
             return
-        for merged in self._agg_states[index].flush_expired():
+        for merged in state.flush_expired():
             self._continue(merged, index + 1)
 
     def _continue(self, merged: Exchange, i: int) -> None:

@@ -10,7 +10,9 @@ from routebus import agent_endpoints
 from routebus.agent_endpoints import AgentComponent
 from routebus.agents import AgentContainer
 from routebus.demo import Scenario, ScenarioConfig
+from routebus.expressions import constant, header
 from routebus.messages import new_exchange, parse_uri
+from routebus.routing import ListAppend, RouteBuilder, RouteEngine
 
 from conftest import wait_for
 
@@ -56,6 +58,36 @@ def test_agent_producers_call_the_wrapped_functions():
     labels = {span[0] for span in tracer.spans}
     assert {"agent_endpoints.produce_message", "agent_endpoints.produce_percept"} <= labels
     assert len(agent.inbox) == 1 and len(agent.transient) == 1
+
+
+def test_routes_started_before_the_install_call_the_wrapped_names():
+    # A route makes its steps when it is added: they must find the wrapped
+    # names at call time, not hold the originals.
+    engine = RouteEngine(name="traced")
+    rb = RouteBuilder()
+    (
+        rb.from_("direct:in", route_id="r")
+        .set_header("k", constant("key"))
+        .aggregate(header("k"), ListAppend())
+        .completion_timeout(50)
+        .to("buffered:out")
+    )
+    (route,) = engine.add_routes(rb)
+    out = engine._buffer("out")
+    tracer = _tracer()
+    try:
+        tracer.install()
+        for body in ("a", "b"):
+            engine.send("direct:in", new_exchange(body=body))
+        assert wait_for(lambda: out.items, timeout=5.0)
+    finally:
+        tracer.uninstall()
+        engine.stop()
+    labels = [span[0] for span in tracer.spans]
+    assert labels.count("expressions.eval") == 4  # the header and the correlation, twice
+    assert "routing.flush" in labels
+    assert list(tracer.states.values()) == route._aggregates
+    assert out.take().in_msg.body == ("a", "b")
 
 
 def test_relevance_view_is_built_once_per_change():

@@ -193,7 +193,7 @@ def test_stop_waits_for_the_exchange_in_flight(engine):
         engine.log.emit("r", "step-done", x.id)
 
     rb = RouteBuilder()
-    rb.from_("buffered:in", route_id="r").process(block, "block")
+    rb.from_("buffered:in", route_id="r").process(block)
     (ctl,) = engine.add_routes(rb)
     engine._buffer("in").put(new_exchange(body="x"))
     assert entered.wait(2)
@@ -224,7 +224,7 @@ def test_lifecycle_calls_from_a_step_and_from_another_thread(engine):
         lambda x: engine.controller("other").stop()
     ).to("buffered:stop-out")
     rb.from_("buffered:other", route_id="other")
-    rb.from_("buffered:block", route_id="blocker").process(block, "block")
+    rb.from_("buffered:block", route_id="blocker").process(block)
     engine.add_routes(rb)
 
     # A step that suspends its own route goes on to its end.

@@ -7,6 +7,7 @@ from routebus.messages import ExchangePattern, RowSet, new_exchange
 from routebus.routing import (
     Aggregate,
     ClosedCorrelationKeyError,
+    EventLog,
     IdempotentRepository,
     InvalidTransitionError,
     ListAppend,
@@ -84,10 +85,13 @@ def test_multicast_failure_does_not_stop_later_destinations(engine):
     rb.from_("direct:ok", route_id="ok").process(lambda x: seen.append("ok"))
     rb.from_("direct:fan", route_id="fan").to("direct:boom", "direct:ok")
     engine.add_routes(rb)
-    with pytest.raises(ZeroDivisionError):
-        engine._direct["fan"].process_inline(new_exchange())
+    fan, replies = engine.controller("fan"), []
+    engine.call(lambda: fan.process(new_exchange(), replies.append), wait=True)
     assert seen == ["ok"]
-    assert engine.log.events(event="error", route_id="fan")
+    assert isinstance(replies[0], ZeroDivisionError)
+    # The exchange fails once, with the first failing leg's error.
+    (error,) = engine.log.events(event="error", route_id="fan")
+    assert "ZeroDivisionError" in error.detail
 
 
 def test_unknown_scheme_rejected_at_start(engine):
@@ -318,7 +322,7 @@ def test_timed_flush_continues_at_the_next_aggregate(engine):
     out = take(engine._buffer("out"), 2)
     assert out.in_msg.body == (("0", "1"),)
     assert take(engine._buffer("out"), 0.3) is None
-    assert all(not state.buckets for state in route._agg_states.values())
+    assert all(not state.buckets for state in route._aggregates)
 
 
 def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
@@ -339,7 +343,7 @@ def test_timed_bucket_open_at_stop_is_flushed_after_start(engine):
     route.start()
     out = take(engine._buffer("out"), 0.5)
     assert out.in_msg.body == ("a",)
-    assert all(not state.buckets for state in route._agg_states.values())
+    assert all(not state.buckets for state in route._aggregates)
 
 
 def test_failure_after_a_size_completion_is_logged_on_the_aggregate_route(engine):
@@ -357,7 +361,7 @@ def test_failure_after_a_size_completion_is_logged_on_the_aggregate_route(engine
         rb.from_("direct:b", route_id="B")
         .aggregate(header("id"), ListAppend())
         .completion_size(2)
-        .process(boom, "boom")
+        .process(boom)
     )
     route_a, _ = engine.add_routes(rb)
     sent = [new_exchange(body=b, headers={"id": "k"}) for b in ("x", "y")]
@@ -393,7 +397,7 @@ def test_merge_that_raises_on_a_timeout_is_logged_and_spares_the_other_buckets(e
     (error,) = engine.log.events(event="error")
     assert (error.route_id, error.exchange_id) == ("agg", first.id)
     assert "refused" in error.detail
-    assert all(not state.buckets for state in route._agg_states.values())
+    assert all(not state.buckets for state in route._aggregates)
 
 
 def test_split_then_aggregate_identity_route(engine):
@@ -557,3 +561,17 @@ def test_two_routes_cannot_share_a_direct_name(engine):
     rb.from_("direct:shared", route_id="two")
     with pytest.raises(RouteConfigError):
         engine.add_routes(rb)
+
+
+# --- event log ---------------------------------------------------------------
+
+
+def test_a_detail_with_line_breaks_is_written_as_one_line(tmp_path):
+    log = EventLog()
+    log.emit("r", "error", "x1", detail="first\nsecond\rthird")
+    (record,) = log.records()
+    assert record.detail == "first\nsecond\rthird"
+    path = tmp_path / "events.log"
+    log.write(str(path))
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    assert line.endswith(" r error x1 first second third")
