@@ -22,9 +22,11 @@ the callers of the three functions with the most self time are listed, then
 one line per thread with its name and its profiled CPU seconds, then the
 summary: the exchange copies (calls of ``Exchange.copy``) and aggregate
 offers (calls of ``AggregateState.offer``) per mail, then the function calls
-and the calls of the builtin ``isinstance`` per mail, and last the loop turns
-per mail: route turns are the calls of ``RouteService._step`` and agent turns
-those of ``AgentContainer._turn``.  Every count is read from the merged
+and the calls of the builtin ``isinstance`` per mail, then the mails the store
+holds in every account's inbox after the run, per mail (distinct stored
+objects, and inbox entries), and last the loop turns per mail: route turns are
+the calls of ``RouteService._step`` and agent turns those of
+``AgentContainer._turn``.  Every count but the store's is read from the merged
 profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
@@ -48,6 +50,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from routebus.demo.runner import Scenario  # noqa: E402
 from routebus.messages import Exchange  # noqa: E402
 from routebus.routing import AggregateState  # noqa: E402
+from routebus.services import MailStore  # noqa: E402
 
 from session import Generator, Outcomes, scenario_config  # noqa: E402
 from workloads import BURST_EVERY_S, WORKLOADS, make_inputs  # noqa: E402
@@ -90,6 +93,12 @@ def code_calls(stats: pstats.Stats, fn) -> int:
     object, as methods of one module may share a name."""
     entry = stats.stats.get(cProfile.label(fn.__code__))
     return entry[1] if entry else 0
+
+
+def inbox_counts(store: MailStore) -> tuple[int, int]:
+    """The distinct mails in every account's inbox, and the inbox entries."""
+    inboxes = [store.folder(account, "inbox") for account in store.accounts()]
+    return len({id(mail) for inbox in inboxes for mail in inbox}), sum(map(len, inboxes))
 
 
 def main(argv=None) -> int:
@@ -149,6 +158,11 @@ def main(argv=None) -> int:
     print(
         f"function calls per mail: {calls / mails:.1f} ({calls} calls), "
         f"isinstance calls per mail: {isinstances / mails:.1f} ({isinstances} isinstance calls)"
+    )
+    stored, entries = inbox_counts(scenario.mail)
+    print(
+        f"stored mails per mail: {stored / mails:.3f} ({stored} distinct mails), "
+        f"inbox entries per mail: {entries / mails:.3f} ({entries} entries)"
     )
     turns = turn_calls(stats)
     print(

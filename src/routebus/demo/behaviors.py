@@ -60,8 +60,9 @@ def _fetch_accounts() -> PerformAction:
     )
 
 
-def _relevance_view(agent: AgentState, tables: TableStore) -> dict[str, list[str]]:
-    """Each interest keyword of this agent's allocated users, mapped to their emails.
+def _relevance_view(agent: AgentState, tables: TableStore) -> tuple[dict[str, list[str]], dict[str, Str]]:
+    """Each interest keyword of this agent's allocated users, mapped to their
+    emails, and each allocated email's term for the reply.
 
     Built on the first call after ``memory["agents"]`` or ``memory["accounts"]``
     changes.  Both lists are replaced, never edited, so an identity check finds
@@ -73,14 +74,16 @@ def _relevance_view(agent: AgentState, tables: TableStore) -> dict[str, list[str
     if built is not None and built[0] is agents and built[1] is accounts:
         return built[2]
     view: dict[str, list[str]] = {}
+    terms: dict[str, Str] = {}
     if agents and agent.full_name in agents:
         interests = {row["email"]: row.get("interests", "") for row in tables.rows("users")}
         for email in compute_allocation(agents, accounts or [])[agent.full_name]:
+            terms[email] = Str(email)
             keywords = {k.strip().lower() for k in interests.get(email, "").split(",")}
             for keyword in keywords - {""}:
                 view.setdefault(keyword, []).append(email)
-    agent.memory["relevance_view"] = (agents, accounts, view)
-    return view
+    agent.memory["relevance_view"] = (agents, accounts, (view, terms))
+    return view, terms
 
 
 def allocation_view(agent: AgentState):
@@ -127,12 +130,13 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         haystack = " ".join(
             t.text if isinstance(t, Str) else render_term(t) for t in (subject, body)
         ).lower()
+        view, terms = _relevance_view(agent, tables)
         matched = set()
-        for keyword, emails in _relevance_view(agent, tables).items():
+        for keyword, emails in view.items():
             if keyword in haystack:
                 matched.update(emails)
         reply = Compound(
-            "relevant", (id_term, ListTerm(tuple(Str(e) for e in sorted(matched))))
+            "relevant", (id_term, ListTerm(tuple(terms[e] for e in sorted(matched))))
         )
         return [SendMessage("tell", "router", reply)]
 

@@ -850,7 +850,7 @@ class RouteService:
         return x
 
     def _log_failure(self, x: Exchange, exc: Exception) -> None:
-        logger.exception("route %s: exchange %s failed", self.route_id, x.id)
+        logger.debug("route %s: exchange %s failed", self.route_id, x.id, exc_info=exc)
         self.engine.log.emit(self.route_id, "error", x.id, detail=repr(exc))
 
     def _run(self, x: Exchange, i: int) -> None:
@@ -875,7 +875,7 @@ class RouteService:
             try:
                 self._send(uri, x.copy())
             except Exception as exc:
-                logger.exception("route %s: multicast to %s failed", self.route_id, uri)
+                logger.debug("route %s: multicast to %s failed", self.route_id, uri, exc_info=exc)
                 if first_error is None:
                     first_error = exc
         if first_error is not None:

@@ -8,7 +8,8 @@
 * ``coord://SERVER/PATH?...`` -- coordination tree with persistent, ephemeral
   and ephemeral-sequential nodes, sessions, and child watches.
 * ``mail:ACCOUNT?delete=&copyTo=`` (consumer) and ``mailto:ACCOUNT``
-  (producer) -- mail store with per-account folders.
+  (producer) -- mail store with per-account folders.  A delivered mail is
+  stored once, and each distinct recipient's inbox holds it once.
 * ``table:DATASOURCE`` -- table store answering ``SELECT col[, col] FROM t``.
 * ``timer:NAME?delay=&period=`` -- emits empty exchanges on a schedule.
 
@@ -435,19 +436,22 @@ class CoordComponent(Component):
 # --- mail store -----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MailMessage:
+    """One stored mail.  A delivery stores it once and every recipient's inbox
+    holds that same object, so it cannot change; read state is per account."""
+
     id: str
     from_addr: str
     subject: str
     to: tuple[str, ...]
     body: str
-    unread: bool = True
 
 
 class MailStore:
     def __init__(self):
         self._accounts: dict[str, dict[str, list[MailMessage]]] = {}
+        self._read: dict[str, int] = {}  # polled inbox mails; unread mail is the tail
         self._seq = itertools.count(1)
         self._listeners: dict[str, set[Callable[[], None]]] = {}
         self._lock = threading.Lock()
@@ -461,19 +465,20 @@ class MailStore:
             return sorted(self._accounts)
 
     def deliver(self, to: Sequence[str], from_addr: str, subject: str, body: str) -> list[str]:
-        """One copy per recipient inbox; recipient accounts are created on
-        demand.  Each recipient's listeners are called after its copy lands."""
-        ids = []
-        recipients = tuple(to)
+        """Stores the mail once, in each distinct recipient's inbox once, making
+        missing accounts; returns its id once per distinct recipient.  Each
+        recipient's listeners are called after the mail lands."""
+        recipients = tuple(dict.fromkeys(to))
         with self._lock:
+            mail = MailMessage(str(next(self._seq)), from_addr, subject, recipients, body)
             for recipient in recipients:
-                folders = self._accounts.setdefault(recipient, {"inbox": []})
-                mail = MailMessage(str(next(self._seq)), from_addr, subject, recipients, body)
-                folders["inbox"].append(mail)
-                ids.append(mail.id)
-                for ready in self._listeners.get(recipient, ()):
-                    ready()
-        return ids
+                if recipient not in self._accounts:
+                    self._accounts[recipient] = {"inbox": []}
+                self._accounts[recipient]["inbox"].append(mail)
+                if recipient in self._listeners:
+                    for ready in self._listeners[recipient]:
+                        ready()
+        return [mail.id] * len(recipients)
 
     def listen(self, account: str, ready: Callable[[], None]) -> None:
         with self._lock:
@@ -485,13 +490,14 @@ class MailStore:
             if folders is None:
                 raise UnknownAccountError(account)
             inbox = folders["inbox"]
-            unread = [m for m in inbox if m.unread]
+            read = self._read.get(account, 0)
+            unread = inbox[read:]
             if delete:
-                folders["inbox"] = [m for m in inbox if not m.unread]
-            for mail in unread:
-                mail.unread = False
-                if copy_to is not None:
-                    folders.setdefault(copy_to, []).append(mail)
+                del inbox[read:]
+            else:
+                self._read[account] = len(inbox)
+            if copy_to is not None:
+                folders.setdefault(copy_to, []).extend(unread)
             return unread
 
     def folder(self, account: str, name: str) -> list[MailMessage]:
@@ -535,7 +541,7 @@ class _MailConsumer(Consumer):
 
 def _recipients_from_header(value) -> list[str]:
     if isinstance(value, (list, tuple)):
-        return [v.text if isinstance(v, Str) else stringify(v) for v in value]
+        return [v if isinstance(v, str) else v.text if isinstance(v, Str) else stringify(v) for v in value]
     text = stringify(value).strip()
     if not text:
         return []

@@ -1,3 +1,4 @@
+import logging
 import threading
 import time
 from collections import Counter
@@ -380,7 +381,7 @@ def test_mail_whose_ask_step_fails_ends_once_on_forward_at_the_timeout(fast_scen
     assert open_buckets(fast_scenario) == 0
 
 
-def test_mail_outcomes_are_logged_on_the_forward_route(fast_scenario):
+def test_mail_outcomes_are_logged_on_the_forward_route(fast_scenario, caplog):
     # bench/session.py reads each mail's outcome by these route ids: the
     # forward event, or an error, on <container>:forward (or the poller).
     fast_scenario.config.mails = []
@@ -396,6 +397,9 @@ def test_mail_outcomes_are_logged_on_the_forward_route(fast_scenario):
     assert error.route_id == "main:forward"
     assert "MissingRecipientsError" in error.detail
     assert not fast_scenario.log.events(event="error", route_id="main:collect-replies")
+    # The event holds the error: the mail that matches nobody logs no warning
+    # or traceback at the default level.
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_plan_changes_add_no_routes(fast_scenario):
@@ -623,6 +627,23 @@ def test_relevance_view_follows_a_new_membership_percept():
     )
     container.run_cycle(a)
     assert ask(a, "budget", "") == relevant("m1", ["u0@x", "u2@x"])
+
+
+def test_relevance_view_drops_a_removed_account_and_names_each_user_once():
+    users = [
+        {"email": "u0@x", "interests": "budget,travel"},
+        {"email": "u1@x", "interests": "budget"},
+    ]
+    container = relevance_agents(users, ["a"])
+    a = container.agents["c__a"]
+    a.started = True  # skip the start-up actions: no routes serve them here
+    a.memory["accounts"] = ["u0@x", "u1@x"]
+    a.memory["agents"] = ["c__a"]
+    # u0@x holds both keywords of the mail and is named once.
+    assert ask(a, "budget travel", "") == relevant("m1", ["u0@x", "u1@x"])
+    container.deliver_percept("c__a", parse_term('account_removed("u1@x")'))
+    container.run_cycle(a)
+    assert ask(a, "budget travel", "") == relevant("m1", ["u0@x"])
 
 
 def test_request_after_a_membership_percept_in_one_cycle_uses_the_new_membership():

@@ -295,6 +295,36 @@ def test_deliver_shares_one_recipient_tuple():
     copies = [store.folder(a, "inbox")[0] for a in ("a@x", "b@x", "c@x")]
     assert copies[0].to == ("a@x", "b@x", "c@x")
     assert all(copy.to is copies[0].to for copy in copies)
+    # The mail is stored once: every inbox holds the one immutable object.
+    assert all(copy is copies[0] for copy in copies)
+    with pytest.raises(AttributeError):
+        copies[0].subject = "changed"
+
+
+def test_read_state_is_per_account():
+    store = MailStore()
+    store.deliver(["a@x", "b@x"], "s@x", "subj", "body")
+    assert [m.subject for m in store.poll("a@x")] == ["subj"]
+    assert store.poll("a@x") == []
+    assert [m.subject for m in store.poll("b@x")] == ["subj"]
+
+
+def test_recipient_named_twice_gets_one_inbox_entry():
+    store = MailStore()
+    ids = store.deliver(["a@x", "b@x", "a@x"], "s@x", "subj", "body")
+    assert len(ids) == 2 and len(set(ids)) == 1
+    assert len(store.folder("a@x", "inbox")) == 1
+    assert store.folder("a@x", "inbox")[0].to == ("a@x", "b@x")
+
+
+def test_poll_without_delete_then_returns_only_newer_mail():
+    store = MailStore()
+    store.deliver(["a@x"], "s@x", "old", "body")
+    store.poll("a@x")
+    store.deliver(["a@x"], "s@x", "new1", "body")
+    store.deliver(["a@x"], "s@x", "new2", "body")
+    assert [m.subject for m in store.poll("a@x")] == ["new1", "new2"]
+    assert [m.subject for m in store.folder("a@x", "inbox")] == ["old", "new1", "new2"]
 
 
 def test_mail_conservation_on_deliver():
