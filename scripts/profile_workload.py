@@ -22,12 +22,13 @@ the callers of the three functions with the most self time are listed, then
 one line per thread with its name and its profiled CPU seconds, then the
 summary: the exchange copies (calls of ``Exchange.copy``) and aggregate
 offers (calls of ``AggregateState.offer``) per mail, then the function calls
-and the calls of the builtin ``isinstance`` per mail, then the mails the store
-holds in every account's inbox after the run, per mail (distinct stored
-objects, and inbox entries), and last the loop turns per mail: route turns are
-the calls of ``RouteService._step`` and agent turns those of
-``AgentContainer._turn``.  Every count but the store's is read from the merged
-profile.
+and the calls of the builtin ``isinstance`` per mail, then the event records
+per mail (the records the scenario's ``EventLog`` gained from the first input
+to the last outcome), then the mails the store holds in every account's inbox
+after the run, per mail (distinct stored objects, and inbox entries), and last
+the loop turns per mail: route turns are the calls of ``RouteService._step``
+and agent turns those of ``AgentContainer._turn``.  Every count but the event
+log's and the store's is read from the merged profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -131,10 +132,12 @@ def main(argv=None) -> int:
         before = outcomes.scan()
         generator = Generator(scenario)
         generator.start()
+        log_from = len(scenario.log.records())
         cpu0, t0 = time.process_time(), time.monotonic()
         generator.submit(events, t0, time.time())
         done = outcomes.wait_for(before + mails, t0 + events[-1].due + OUTCOME_TIMEOUT_S)
         cpu_ms = 1000.0 * (time.process_time() - cpu0)
+        records = len(scenario.log.records()) - log_from
         generator.close()
     finally:
         scenario.stop()
@@ -159,6 +162,7 @@ def main(argv=None) -> int:
         f"function calls per mail: {calls / mails:.1f} ({calls} calls), "
         f"isinstance calls per mail: {isinstances / mails:.1f} ({isinstances} isinstance calls)"
     )
+    print(f"event records per mail: {records / mails:.3f} ({records} records)")
     stored, entries = inbox_counts(scenario.mail)
     print(
         f"stored mails per mail: {stored / mails:.3f} ({stored} distinct mails), "

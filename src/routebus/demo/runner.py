@@ -214,13 +214,12 @@ class Scenario:
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 return "duration"
-            quiet_until = self.log.last_activity + quiet_window
-            if now >= quiet_until:
+            quiet_left = self.log.last_activity + quiet_window - time.time()
+            if quiet_left <= 0:
                 return "quiescent"
             # Nothing can end the wait before the earlier of the two; an event
             # in the meantime only moves the quiet window's end later.
-            wake = quiet_until if deadline is None else min(quiet_until, deadline)
-            time.sleep(wake - now)
+            time.sleep(quiet_left if deadline is None else min(quiet_left, deadline - now))
 
     def forward_events(self) -> list[tuple[str, str]]:
         return [(r.route_id, r.detail) for r in self.log.events(event="forward")]

@@ -21,10 +21,10 @@ the merged exchange goes on as that route's own, which logs what fails
 
 Only the loop touches route state, aggregate buckets and the deadline heap,
 so they have no lock; other threads get in through ``RouteEngine.submit``
-(see ``RouteEngine.call``).  The locks left: ``EventLog._lock``, as other
-threads read the log, and ``IdempotentRepository._lock``, as a repository
-may serve several engines.  An idle loop sleeps on the ``Event``
-``RouteEngine._wake``, and a ``call`` that waits on a ``Future``.
+(see ``RouteEngine.call``).  The one lock left is ``IdempotentRepository._lock``,
+as a repository may serve several engines; the ``EventLog`` needs none (see
+there).  An idle loop sleeps on the ``Event`` ``RouteEngine._wake``, and a
+``call`` that waits on a ``Future``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .expressions import (
     Expr,
@@ -374,9 +374,8 @@ class _AggregateSpec:
 # --- event log -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    ts: float
+class EventRecord(NamedTuple):
+    ts: float  # wall clock, ``time.time()``
     route_id: str
     event: str
     exchange_id: str
@@ -390,27 +389,30 @@ class EventRecord:
 
 class EventLog:
     """Append-only structured log: one record per endpoint receive/send,
-    processor error, drop, or lifecycle change."""
+    processor error, drop, or lifecycle change.  No lock: the log only grows, and
+    ``list.append`` and ``list(list)`` are each one C call under the GIL."""
 
     def __init__(self):
         self._records: list[EventRecord] = []
-        self._lock = threading.Lock()
-        self.last_activity = time.monotonic()
+        self._created = time.time()
 
     def emit(self, route_id: str, event: str, exchange_id: str = "-", detail: str = "") -> None:
-        rec = EventRecord(time.time(), route_id, event, exchange_id, detail)
-        with self._lock:
-            self._records.append(rec)
-            self.last_activity = time.monotonic()
+        rec = (time.time(), route_id, event, exchange_id, detail)
+        self._records.append(tuple.__new__(EventRecord, rec))  # skips the generated __new__
+
+    @property
+    def last_activity(self) -> float:
+        """The wall-clock stamp of the last record, or the log's creation time."""
+        return self._records[-1].ts if self._records else self._created
 
     def records(self) -> list[EventRecord]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def events(self, event: Optional[str] = None, route_id: Optional[str] = None) -> list[EventRecord]:
+        # Bounded by the length read first: a snapshot, as ``records()`` is.
         return [
             r
-            for r in self.records()
+            for r in itertools.islice(self._records, len(self._records))
             if (event is None or r.event == event) and (route_id is None or r.route_id == route_id)
         ]
 
@@ -720,6 +722,7 @@ class RouteService:
     def __init__(self, engine: "RouteEngine", definition: RouteDefinition):
         self.engine = engine
         self.definition = definition
+        self.route_id = definition.route_id
         self.state = RouteState.STOPPED
         self._consumer: Optional[Consumer] = None
         # The ``to`` steps' URIs, each with its producer once the route started.
@@ -727,10 +730,6 @@ class RouteService:
         self._aggregates: list[AggregateState] = []  # one per aggregate step
         self._steps = tuple(make(self, i) for i, make in enumerate(definition.steps))
         self._queued = False
-
-    @property
-    def route_id(self) -> str:
-        return self.definition.route_id
 
     # -- lifecycle --
 

@@ -740,6 +740,24 @@ def test_wait_quiescent_sleeps_until_the_wait_can_end(monkeypatch):
     assert len(scenario.forward_events()) == 1
 
 
+def test_an_event_during_wait_quiescent_moves_the_quiet_window_end():
+    config = ScenarioConfig.default()
+    config.aggregate_timeout_ms = 100
+    scenario = Scenario(config)  # not started: only this test emits
+    window = 3 * config.aggregate_timeout_ms / 1000.0
+    emitter = threading.Timer(window / 2, scenario.log.emit, ("probe", "send"))
+    emitter.start()
+    try:
+        assert scenario.wait_quiescent(duration_ms=5_000) == "quiescent"
+        ended = time.time()
+    finally:
+        emitter.cancel()
+        emitter.join(timeout=5)
+    (record,) = scenario.log.records()
+    assert record.ts < ended
+    assert ended >= record.ts + window
+
+
 def test_bridge_scenario_delivers_across_containers():
     from routebus.agents import AgentMessage
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -82,8 +84,24 @@ def test_in_out_exchange_starts_without_reply():
 
 
 def test_exchange_ids_ten_thousand_distinct():
-    ids = {new_exchange().id for _ in range(10_000)}
-    assert len(ids) == 10_000
+    # Drawn from four threads at once with a short switch interval, as every
+    # engine loop and caller thread draws from the one counter without a lock.
+    drawn = [[] for _ in range(4)]
+    threads = [
+        threading.Thread(target=lambda ids=ids: ids.extend(new_exchange().id for _ in range(2_500)))
+        for ids in drawn
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len({i for ids in drawn for i in ids}) == 10_000
 
 
 def test_exchange_copy_owns_its_headers_and_shares_immutable_values():

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from routebus.routing import (
     Aggregate,
     ClosedCorrelationKeyError,
     EventLog,
+    EventRecord,
     IdempotentRepository,
     InvalidTransitionError,
     ListAppend,
@@ -575,3 +578,64 @@ def test_a_detail_with_line_breaks_is_written_as_one_line(tmp_path):
     log.write(str(path))
     (line,) = path.read_text(encoding="utf-8").splitlines()
     assert line.endswith(" r error x1 first second third")
+
+
+def test_a_record_is_an_immutable_tuple_with_named_fields():
+    log = EventLog()
+    created = log.last_activity
+    assert created <= time.time()
+    log.emit("r", "send", "x1", detail="direct:out")
+    log.emit("r", "lifecycle")
+    sent, lifecycle = log.records()
+    assert isinstance(sent, EventRecord) and isinstance(sent, tuple)
+    assert sent._fields == ("ts", "route_id", "event", "exchange_id", "detail")
+    assert sent == EventRecord(sent.ts, "r", "send", "x1", "direct:out")
+    assert lifecycle[1:] == ("r", "lifecycle", "-", "")
+    assert created <= sent.ts <= lifecycle.ts == log.last_activity
+    with pytest.raises(AttributeError):
+        sent.detail = "changed"
+
+
+def test_concurrent_emits_lose_no_record_and_every_read_is_a_prefix():
+    log = EventLog()
+    writers, per_writer = 4, 5_000
+    snapshots = []
+
+    def write(n):
+        for i in range(per_writer):
+            log.emit(f"w{n}", "send", str(i))
+            if i % 100 == 0:
+                time.sleep(0)  # lets the reader in while the log grows
+
+    def read():
+        # Keeps a snapshot per 500 new records, to bound the memory held.
+        kept = 0
+        while any(t.is_alive() for t in threads):
+            records, events = log.records(), log.events(route_id="w0")
+            if len(records) >= kept + 500:
+                snapshots.append((records, events))
+                kept = len(records)
+
+    threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        reader.start()
+        for t in [*threads, reader]:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [*threads, reader])
+
+    final = log.records()
+    assert len(final) == writers * per_writer
+    for n in range(writers):
+        assert [r.exchange_id for r in final if r.route_id == f"w{n}"] == [str(i) for i in range(per_writer)]
+    w0 = log.events(route_id="w0")
+    assert any(len(records) < len(final) for records, _ in snapshots)  # read while growing
+    for records, events in snapshots:
+        assert records == final[: len(records)]
+        assert events == w0[: len(events)]
