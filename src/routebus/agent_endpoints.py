@@ -5,7 +5,8 @@ Four endpoint kinds exist, addressed as ``agent:message``, ``agent:action``
 endpoints turn messages sent / actions performed by local agents into
 exchanges, applying their URI-parameter selectors first; producer endpoints
 turn exchanges into agent messages or percepts, with message headers
-overriding the URI parameters field by field.  A consumer's exchange body is
+overriding the URI parameters field by field.  A parameter and a header of
+its name are read by the same parser (``_PARSERS``).  A consumer's exchange body is
 the content term itself, or its rendered text when a ``match`` selector is
 set; a producer takes a literal body as it is and parses a text body.
 """
@@ -17,7 +18,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .agents import (
     ActionTimeoutError,
@@ -31,7 +32,7 @@ from .agents import (
     UpdateMode,
 )
 from .expressions import body_to_term, stringify
-from .messages import BodyValue, EndpointUri, Exchange, ExchangePattern, new_exchange
+from .messages import BodyValue, EndpointUri, Exchange, ExchangePattern, new_exchange, parse_bool
 from .routing import Channel, Component, Consumer, Delivery, Producer, RouteEngine, _ChannelConsumer
 from .terms import (
     TERM_TYPES,
@@ -115,9 +116,54 @@ _ALLOWED_PARAMS = {
 }
 
 
-def _parse_annotations(text: str) -> tuple[Term, ...]:
-    """A comma-separated annotation list, read as the elements of one list term."""
-    return parse_term("[" + text + "]").elements
+def _receivers(value: BodyValue) -> tuple[str, ...]:
+    """A comma-separated list of agent names."""
+    return tuple(name for part in stringify(value).split(",") if (name := part.strip()))
+
+
+def _annotations(value: BodyValue) -> tuple[Term, ...]:
+    """A comma-separated annotation list, read as the elements of one list
+    term; a sequence holds the text of one term per element."""
+    if isinstance(value, (list, tuple)):
+        return tuple(parse_term(stringify(v)) for v in value)
+    return parse_term("[" + stringify(value) + "]").elements
+
+
+def _update_mode(value: BodyValue) -> UpdateMode:
+    try:
+        return UpdateMode(stringify(value))
+    except ValueError:
+        raise EndpointConfigError(f"unknown updateMode {value!r}") from None
+
+
+def _result_header_map(text: str) -> tuple[tuple[str, int], ...]:
+    pairs = []
+    for part in text.split(","):
+        name, _, idx = part.partition(":")
+        if not name or not idx.isdigit() or int(idx) < 1:
+            raise EndpointConfigError(f"bad resultHeaderMap entry {part!r}")
+        pairs.append((name, int(idx)))
+    return tuple(pairs)
+
+
+def _exchange_pattern(text: str) -> ExchangePattern:
+    try:
+        return ExchangePattern.parse(text)
+    except ValueError as exc:
+        raise EndpointConfigError(str(exc)) from exc
+
+
+# The parser of each parameter that is not plain text.  ``from_uri`` applies
+# it to the URI value once, and ``_effective`` to a header of the same name,
+# which overrides the parameter on a producer.
+_PARSERS: dict[str, Callable[[BodyValue], object]] = {
+    "receiver": _receivers,
+    "annotations": _annotations,
+    "persistent": lambda value: parse_bool(stringify(value)),
+    "updateMode": _update_mode,
+    "resultHeaderMap": _result_header_map,
+    "exchangePattern": _exchange_pattern,
+}
 
 
 # ``$n`` is group ``n`` (digits read greedily) and ``$$`` a dollar; any other
@@ -130,15 +176,15 @@ class AgentEndpointConfig:
     kind: EndpointKind
     illoc_force: Optional[str] = None
     sender: Optional[str] = None
-    receiver: Optional[str] = None
+    receiver: Optional[tuple[str, ...]] = None
     actor: Optional[str] = None
     action_name: Optional[str] = None
     annotations: tuple[Term, ...] = ()
     match: Optional[str] = None
     replace: Optional[str] = None
     result_header_map: tuple[tuple[str, int], ...] = ()
-    persistent: Optional[bool] = None
-    update_mode: Optional[str] = None
+    persistent: bool = False
+    update_mode: UpdateMode = UpdateMode.ACCUMULATE
     exchange_pattern: Optional[ExchangePattern] = None
 
     def __post_init__(self):
@@ -177,32 +223,12 @@ class AgentEndpointConfig:
         if kind is None:
             raise EndpointConfigError(f"agent:{uri.path} has no {role} form")
         allowed = _ALLOWED_PARAMS[kind]
-        values: dict[str, str] = {}
-        for name, value in uri.params:
+        values: dict = {}
+        for name, text in uri.params:
             if name not in allowed:
                 raise EndpointConfigError(f"parameter {name!r} not recognised on agent:{uri.path}")
-            values[name] = value
-        annotations: tuple[Term, ...] = ()
-        if "annotations" in values:
-            annotations = _parse_annotations(values["annotations"])
-        result_map: tuple[tuple[str, int], ...] = ()
-        if "resultHeaderMap" in values:
-            pairs = []
-            for part in values["resultHeaderMap"].split(","):
-                name, _, idx = part.partition(":")
-                if not name or not idx.isdigit() or int(idx) < 1:
-                    raise EndpointConfigError(f"bad resultHeaderMap entry {part!r}")
-                pairs.append((name, int(idx)))
-            result_map = tuple(pairs)
-        pattern = None
-        if "exchangePattern" in values:
-            try:
-                pattern = ExchangePattern.parse(values["exchangePattern"])
-            except ValueError as exc:
-                raise EndpointConfigError(str(exc)) from exc
-        persistent = None
-        if "persistent" in values:
-            persistent = values["persistent"].lower() in ("true", "1", "yes")
+            parse = _PARSERS.get(name)
+            values[name] = text if parse is None else parse(text)
         return cls(
             kind=kind,
             illoc_force=values.get("illoc_force"),
@@ -210,13 +236,13 @@ class AgentEndpointConfig:
             receiver=values.get("receiver"),
             actor=values.get("actor"),
             action_name=values.get("actionName"),
-            annotations=annotations,
+            annotations=values.get("annotations", ()),
             match=values.get("match"),
             replace=values.get("replace"),
-            result_header_map=result_map,
-            persistent=persistent,
-            update_mode=values.get("updateMode"),
-            exchange_pattern=pattern,
+            result_header_map=values.get("resultHeaderMap", ()),
+            persistent=values.get("persistent", False),
+            update_mode=values.get("updateMode", UpdateMode.ACCUMULATE),
+            exchange_pattern=values.get("exchangePattern"),
         )
 
 
@@ -225,14 +251,6 @@ class AgentEndpointConfig:
 
 def _annotations_match(cfg: AgentEndpointConfig, present: tuple[Term, ...]) -> bool:
     return all(ann in present for ann in cfg.annotations)
-
-
-def _receiver_matches(cfg_receiver: str, msg_receiver: str) -> bool:
-    if cfg_receiver == BROADCAST:
-        # Only broadcast messages are selected.
-        return msg_receiver == BROADCAST
-    wanted = [part.strip() for part in cfg_receiver.split(",")]
-    return msg_receiver in wanted
 
 
 def _match_and_replace(cfg: AgentEndpointConfig, content: Literal) -> BodyValue:
@@ -262,7 +280,7 @@ def consume_agent_message(cfg: AgentEndpointConfig, msg: AgentMessage) -> Option
         return None
     if cfg.sender is not None and msg.sender != cfg.sender:
         return None
-    if cfg.receiver is not None and not _receiver_matches(cfg.receiver, msg.receiver):
+    if cfg.receiver is not None and msg.receiver not in cfg.receiver:
         return None
     if not _annotations_match(cfg, msg.annotations):
         return None
@@ -354,19 +372,11 @@ def complete_sync_action(
 # --- producer operations --------------------------------------------------------
 
 
-def _effective(x: Exchange, header_name: str, cfg_value: Optional[str]) -> Optional[str]:
-    if header_name in x.in_msg.headers:
-        return stringify(x.in_msg.headers[header_name])
+def _effective(x: Exchange, name: str, cfg_value):
+    """The header ``name`` read by its parameter's parser, else ``cfg_value``."""
+    if name in x.in_msg.headers:
+        return _PARSERS.get(name, stringify)(x.in_msg.headers[name])
     return cfg_value
-
-
-def _effective_annotations(x: Exchange, cfg: AgentEndpointConfig) -> tuple[Term, ...]:
-    if "annotations" in x.in_msg.headers:
-        value = x.in_msg.headers["annotations"]
-        if isinstance(value, (list, tuple)):
-            return tuple(parse_term(stringify(v)) for v in value)
-        return _parse_annotations(stringify(value))
-    return cfg.annotations
 
 
 def _parse_content(x: Exchange) -> Literal:
@@ -396,12 +406,10 @@ def produce_agent_message(container: AgentContainer, cfg: AgentEndpointConfig, x
     if not illoc:
         raise MissingIllocForceError("neither header nor parameter supplies illoc_force")
     sender = _effective(x, "sender", cfg.sender) or ""
-    receiver = _effective(x, "receiver", cfg.receiver) or BROADCAST
-    annotations = _effective_annotations(x, cfg)
+    annotations = _effective(x, "annotations", cfg.annotations)
     content = _parse_content(x)
     msg_id = x.in_msg.headers.get("msg_id")
-    recipients = [part.strip() for part in receiver.split(",") if part.strip()]
-    for recipient in recipients:
+    for recipient in _effective(x, "receiver", cfg.receiver) or (BROADCAST,):
         msg = AgentMessage(
             illoc,
             sender,
@@ -416,27 +424,15 @@ def produce_agent_message(container: AgentContainer, cfg: AgentEndpointConfig, x
 def produce_percept(container: AgentContainer, cfg: AgentEndpointConfig, x: Exchange) -> None:
     """Turn an exchange into percepts, transient accumulate by default."""
     assert cfg.kind is EndpointKind.PERCEPT_PRODUCER
-    receiver = _effective(x, "receiver", cfg.receiver) or BROADCAST
-    if "persistent" in x.in_msg.headers:
-        persistent = stringify(x.in_msg.headers["persistent"]).lower() in ("true", "1", "yes")
-    else:
-        persistent = bool(cfg.persistent)
-    update_mode_text = _effective(x, "updateMode", cfg.update_mode)
-    mode = (
-        UpdateMode.REPLACE_SAME_FUNCTOR_ARITY
-        if update_mode_text == UpdateMode.REPLACE_SAME_FUNCTOR_ARITY.value
-        else UpdateMode.ACCUMULATE
-    )
-    annotations = _effective_annotations(x, cfg)
+    receivers = _effective(x, "receiver", cfg.receiver) or (BROADCAST,)
+    persistent = _effective(x, "persistent", cfg.persistent)
+    mode = _effective(x, "updateMode", cfg.update_mode)
+    annotations = _effective(x, "annotations", cfg.annotations)
     literal = _parse_content(x)
     if annotations:
         literal = dc_replace(literal, annotations=literal.annotations + annotations)
-    if receiver == BROADCAST:
-        targets: Union[str, list[str]] = BROADCAST
-    else:
-        targets = [part.strip() for part in receiver.split(",") if part.strip()]
     container.deliver_percept(
-        targets,
+        BROADCAST if receivers == (BROADCAST,) else receivers,
         literal,
         Persistence.PERSISTENT if persistent else Persistence.TRANSIENT,
         mode,
@@ -447,26 +443,23 @@ def produce_percept(container: AgentContainer, cfg: AgentEndpointConfig, x: Exch
 
 
 class _AgentConsumer(_ChannelConsumer):
-    """Registered with the container while the route runs; feeds its channel."""
+    """Registered with the container while the route runs; its offers feed
+    one channel of deliveries, kept across a restart."""
 
     def __init__(self, container: AgentContainer, cfg: AgentEndpointConfig, engine: RouteEngine):
-        super().__init__(Channel())
-        self.container = container
+        if cfg.kind is EndpointKind.MESSAGE_CONSUMER:
+            register = container.register_message_binding
+        else:
+            register = container.register_action_binding
+
+        def bind() -> Channel:
+            register(self)
+            return self.channel
+
+        super().__init__(bind, lambda channel: container.unregister_binding(self), lambda d: d)
+        self.channel = Channel()  # before ``bind``: an offer may follow it at once
         self.cfg = cfg
         self.engine = engine
-
-    def start(self, ready: Callable[[], None]) -> None:
-        super().start(ready)
-        if self.cfg.kind is EndpointKind.MESSAGE_CONSUMER:
-            self.container.register_message_binding(self)
-        else:
-            self.container.register_action_binding(self)
-
-    def stop(self) -> None:
-        self.container.unregister_binding(self)
-
-    def _delivery(self, delivery: Delivery) -> Delivery:
-        return delivery
 
     def offer_message(self, msg: AgentMessage) -> bool:
         exchange = consume_agent_message(self.cfg, msg)

@@ -18,9 +18,9 @@ from ..routing import (
     RouteBuilder,
     RouteEngine,
     RouteState,
-    SetUnion,
+    set_union,
 )
-from ..services import CoordService
+from ..services import CoordService, NoNodeError
 from ..terms import Compound, Str
 
 logger = logging.getLogger(__name__)
@@ -57,23 +57,31 @@ def membership_routes(
     rb: RouteBuilder, prefix: str, coord: CoordService, coord_server: str = "srv"
 ) -> RouteBuilder:
     """Watch the membership node, map node names to agent names, and push the
-    aggregated list to all local agents as a replacing persistent percept."""
+    aggregated list to all local agents as a replacing persistent percept.
+
+    The names of one child list are aggregated under that list's exchange id.
+    A node that is gone by the time its name is read names nobody."""
 
     def node_to_name(x):
-        x.in_msg.body = coord.get_data("/agents/" + stringify(x.in_msg.body))
+        try:
+            x.in_msg.body = coord.get_data("/agents/" + stringify(x.in_msg.body))
+        except NoNodeError:
+            x.in_msg.body = None
 
     def agents_percept(x):
-        x.in_msg.body = Compound("agents", (body_to_term(x.in_msg.body),))
+        names = tuple(name for name in x.in_msg.body if name is not None)
+        x.in_msg.body = Compound("agents", (body_to_term(names),))
 
     return (
         rb.from_(
             f"coord://{coord_server}/agents?listChildren=true&repeat=true",
             route_id=f"{prefix}membership",
         )
+        .set_header("snapshot", expr("${id}"))
         .set_header("numChildren", expr("${body.size}"))
         .split(body())
         .process(node_to_name)
-        .aggregate(header("numChildren"), ListAppend())
+        .aggregate(header("snapshot"), ListAppend())
         .completion_size(header("numChildren"))
         .process(agents_percept)
         .to("agent:percept?persistent=true&updateMode=-+")
@@ -91,7 +99,7 @@ class _MailToReplies(AggregationStrategy):
         mail, *replies = exchanges
         if "subject" not in mail.in_msg.headers:
             raise MissingMailError(mail.in_msg.headers.get("id"))
-        mail.in_msg.headers["to"] = SetUnion().merge(replies).in_msg.body if replies else ()
+        mail.in_msg.headers["to"] = set_union(x.in_msg.body for x in replies)
         return mail
 
 

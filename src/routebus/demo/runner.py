@@ -8,7 +8,10 @@ replay one ordered record of everything that happened.
 Startup order matters for determinism: base routes and containers come up
 first, then the runner waits until every agent has bound its account list and
 seen the full membership percept before the mail poller starts.  Shutdown
-stops routes before containers.
+stops routes before containers.  A scenario may be started again after
+``stop()``: each engine starts its routes again, the mail routes the first
+start added among them, and the containers resume their agents; readiness is
+not awaited again, and the fixture mails are injected by the first start only.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class Scenario:
         self.containers: dict[str, AgentContainer] = {}
         self._built = False
         self._started = False
+        self._ran = False  # a first start added the mail routes and fixture mails
 
     # -- assembly --
 
@@ -118,6 +122,9 @@ class Scenario:
             engine.start()
         for name, container in self.containers.items():
             container.start(self.engines[name])
+        if self._ran:
+            return
+        self._ran = True
         if "use_case" in self.config.route_sets:
             self._await_readiness()
             self._start_mail_routes()

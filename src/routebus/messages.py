@@ -22,6 +22,7 @@ __all__ = [
     "EndpointUri",
     "MalformedUriError",
     "new_exchange",
+    "parse_bool",
     "parse_uri",
 ]
 
@@ -147,6 +148,11 @@ def _decode(text: str) -> str:
     return "".join(out)
 
 
+def parse_bool(text: str) -> bool:
+    """The true/false rule of URI parameters: ``true``, ``1`` or ``yes`` in any case."""
+    return text.lower() in ("true", "1", "yes")
+
+
 @dataclass(frozen=True)
 class EndpointUri:
     """``scheme:path?k1=v1&k2=v2`` with an ordered, repeatable parameter map."""
@@ -166,9 +172,7 @@ class EndpointUri:
 
     def get_bool(self, name: str, default: bool = False) -> bool:
         v = self.get(name)
-        if v is None:
-            return default
-        return v.lower() in ("true", "1", "yes")
+        return default if v is None else parse_bool(v)
 
     def render(self) -> str:
         text = f"{self.scheme}:{self.path}"

@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .expressions import (
     Expr,
@@ -65,6 +65,7 @@ __all__ = [
     "Aggregate",
     "ListAppend",
     "SetUnion",
+    "set_union",
     "IdempotentRepository",
     "RouteDefinition",
     "RouteBuilder",
@@ -153,29 +154,33 @@ class ListAppend(AggregationStrategy):
 
 
 class SetUnion(AggregationStrategy):
+    """The ``set_union`` of the bodies; headers from the first."""
+
+    def merge(self, exchanges: list[Exchange]) -> Exchange:
+        first = exchanges[0]
+        return new_exchange(
+            first.pattern, set_union(x.in_msg.body for x in exchanges), first.in_msg.headers
+        )
+
+
+def set_union(bodies: Iterable) -> tuple:
     """The set union of the elements of sequence bodies; a text body is parsed
     as a term list.
 
     The union is ordered by each element's rendered term text, so any
-    permutation of the same replies produces an identical merged body.
+    permutation of the same bodies produces an identical union.
     """
-
-    def merge(self, exchanges: list[Exchange]) -> Exchange:
-        elements: set = set()
-        for x in exchanges:
-            b = x.in_msg.body
-            if isinstance(b, str):
-                t = parse_term(b)
-                if not isinstance(t, ListTerm):
-                    raise TypeMismatchError(f"set-union body is not a list: {b!r}")
-                b = tuple(term_to_body(el) for el in t.elements)
-            elif not isinstance(b, (list, tuple)):
+    elements: set = set()
+    for b in bodies:
+        if isinstance(b, str):
+            t = parse_term(b)
+            if not isinstance(t, ListTerm):
                 raise TypeMismatchError(f"set-union body is not a list: {b!r}")
-            elements.update(b)
-        first = exchanges[0]
-        return new_exchange(
-            first.pattern, tuple(sorted(elements, key=_term_text)), first.in_msg.headers
-        )
+            b = tuple(term_to_body(el) for el in t.elements)
+        elif not isinstance(b, (list, tuple)):
+            raise TypeMismatchError(f"set-union body is not a list: {b!r}")
+        elements.update(b)
+    return tuple(sorted(elements, key=_term_text))
 
 
 def _term_text(value) -> str:
@@ -507,23 +512,34 @@ class Channel:
 
 
 class _ChannelConsumer(Consumer):
-    """Feeds a route from a channel of exchanges (see ``_delivery``)."""
+    """Feeds a route from a channel: ``acquire()`` gets the channel at each
+    start, ``release(channel)`` gives it back at stop, and ``to_delivery``
+    makes each item a delivery (by default, the item is the exchange)."""
 
-    def __init__(self, channel: Optional[Channel] = None):
-        self.channel = channel
+    def __init__(
+        self,
+        acquire: Callable[[], Channel],
+        release: Callable[[Channel], None] = lambda channel: None,
+        to_delivery: Callable[[object], Delivery] = Delivery,
+    ):
+        self._acquire = acquire
+        self._release = release
+        self._to_delivery = to_delivery
+        self.channel: Optional[Channel] = None
 
     def start(self, ready: Callable[[], None]) -> None:
+        self.channel = self._acquire()
         self.channel.listen(ready)
+
+    def stop(self) -> None:
+        self._release(self.channel)
 
     def poll(self) -> Optional[Delivery]:
         item = self.channel.take()
-        return None if item is None else self._delivery(item)
+        return None if item is None else self._to_delivery(item)
 
     def backlog(self) -> int:
         return len(self.channel.items)
-
-    def _delivery(self, item) -> Delivery:
-        return Delivery(item)
 
 
 # Engine-internal endpoints.  ``direct:`` invokes the target route inline on
@@ -564,7 +580,8 @@ class _DirectProducer(Producer):
 
 class _BufferedComponent(Component):
     def create_consumer(self, uri: EndpointUri, route: "RouteService") -> Consumer:
-        return _ChannelConsumer(route.engine._buffer(uri.path))
+        channel = route.engine._buffer(uri.path)
+        return _ChannelConsumer(lambda: channel)
 
     def create_producer(self, uri: EndpointUri, engine: "RouteEngine", route_id: str) -> Producer:
         return _BufferedProducer(engine._buffer(uri.path))

@@ -152,22 +152,6 @@ def _broker_destination(uri: EndpointUri) -> tuple[str, str]:
     return kind, name
 
 
-class _BrokerTopicConsumer(_ChannelConsumer):
-    """Subscribes a fresh channel to the topic while the route runs."""
-
-    def __init__(self, service: BrokerService, name: str):
-        super().__init__()
-        self._service = service
-        self._name = name
-
-    def start(self, ready: Callable[[], None]) -> None:
-        self.channel = self._service.subscribe_topic(self._name)
-        super().start(ready)
-
-    def stop(self) -> None:
-        self._service.unsubscribe_topic(self._name, self.channel)
-
-
 class _BrokerProducer(Producer):
     def __init__(self, service: BrokerService, kind: str, name: str):
         self._service = service
@@ -193,9 +177,15 @@ class BrokerComponent(Component):
 
     def create_consumer(self, uri: EndpointUri, route) -> Consumer:
         kind, name = _broker_destination(uri)
+        service = self.service
         if kind == "queue":
-            return _ChannelConsumer(self.service.queue(name))
-        return _BrokerTopicConsumer(self.service, name)
+            queue = service.queue(name)
+            return _ChannelConsumer(lambda: queue)
+        # A fresh channel subscribes to the topic while the route runs.
+        return _ChannelConsumer(
+            lambda: service.subscribe_topic(name),
+            lambda channel: service.unsubscribe_topic(name, channel),
+        )
 
     def create_producer(self, uri: EndpointUri, engine: RouteEngine, route_id: str) -> Producer:
         kind, name = _broker_destination(uri)
@@ -376,24 +366,6 @@ def _coord_node_path(uri: EndpointUri) -> str:
     return path if path.startswith("/") else "/" + path
 
 
-class _CoordWatchConsumer(_ChannelConsumer):
-    def __init__(self, service: CoordService, path: str, repeat: bool):
-        super().__init__()
-        self._service = service
-        self._path = path
-        self._repeat = repeat
-
-    def start(self, ready: Callable[[], None]) -> None:
-        self.channel = self._service.watch_children(self._path, self._repeat)
-        super().start(ready)
-
-    def stop(self) -> None:
-        self._service.unwatch(self._path, self.channel)
-
-    def _delivery(self, children: list[str]) -> Delivery:
-        return Delivery(new_exchange(ExchangePattern.IN_ONLY, tuple(children)))
-
-
 class _CoordCreateProducer(Producer):
     def __init__(self, service: CoordService, session: Optional[CoordSession], path: str, mode: CreateMode):
         self._service = service
@@ -420,8 +392,11 @@ class CoordComponent(Component):
     def create_consumer(self, uri: EndpointUri, route) -> Consumer:
         if not uri.get_bool("listChildren"):
             raise ValueError(f"coord consumer needs listChildren=true: {uri}")
-        return _CoordWatchConsumer(
-            self.service, _coord_node_path(uri), uri.get_bool("repeat", False)
+        service, path, repeat = self.service, _coord_node_path(uri), uri.get_bool("repeat", False)
+        return _ChannelConsumer(
+            lambda: service.watch_children(path, repeat),
+            lambda stream: service.unwatch(path, stream),
+            lambda children: Delivery(new_exchange(ExchangePattern.IN_ONLY, tuple(children))),
         )
 
     def create_producer(self, uri: EndpointUri, engine: RouteEngine, route_id: str) -> Producer:
@@ -704,22 +679,24 @@ class _TimerConsumer(_ChannelConsumer):
     current start; a call scheduled before a stop finds that channel gone."""
 
     def __init__(self, engine: RouteEngine, delay_ms: int, period_ms: Optional[int]):
-        super().__init__()
+        super().__init__(self._arm, self._disarm)
         self._engine = engine
         self._delay = delay_ms / 1000.0
         self._period = period_ms / 1000.0 if period_ms is not None else None
+        # The current start's channel, set before its first call is scheduled.
+        self._live: Optional[Channel] = None
 
-    def start(self, ready: Callable[[], None]) -> None:
-        self.channel = Channel()
-        super().start(ready)
-        self._fire_at(time.monotonic() + self._delay, self.channel)
+    def _arm(self) -> Channel:
+        self._live = channel = Channel()
+        self._fire_at(time.monotonic() + self._delay, channel)
+        return channel
 
-    def stop(self) -> None:
-        self.channel = None
+    def _disarm(self, channel: Channel) -> None:
+        self._live = None
 
     def _fire_at(self, due: float, channel: Channel) -> None:
         def fire() -> None:
-            if channel is self.channel:
+            if channel is self._live:
                 channel.put(new_exchange(ExchangePattern.IN_ONLY))
                 if self._period is not None:
                     self._fire_at(due + self._period, channel)
@@ -734,4 +711,6 @@ class TimerComponent(Component):
             raise ValueError("timer delay must be >= 0")
         period_text = uri.get("period")
         period = int(period_text) if period_text else None
+        if period is not None and period <= 0:
+            raise ValueError("timer period must be > 0")
         return _TimerConsumer(route.engine, delay, period)

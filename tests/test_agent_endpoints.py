@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from routebus.agents import AgentContainer, AgentId, AgentMessage, Async, Sync
+from routebus.agents import AgentContainer, AgentId, AgentMessage, Async, Sync, UpdateMode
 from routebus.agent_endpoints import (
+    _ALLOWED_PARAMS,
+    AgentComponent,
     AgentEndpointConfig,
     EndpointConfigError,
     EndpointKind,
@@ -16,6 +20,7 @@ from routebus.agent_endpoints import (
     produce_percept,
 )
 from routebus.messages import ExchangePattern, new_exchange, parse_uri
+from routebus.routing import RouteBuilder, RouteEngine
 from routebus.terms import ActionTerm, Atom, parse_term, render_term
 
 
@@ -335,6 +340,60 @@ def test_percept_header_over_param_precedence():
     produce_percept(container, cfg, x)
     assert bob.drain_for_cycle()[0]  # transient, to bob
     assert alice.persistent_snapshot() == []
+
+
+def test_header_parameters_are_parsed_once_from_the_uri():
+    cfg = cfg_for("agent:percept?receiver=c1__a, c1__b&persistent=Yes&updateMode=-%2B", "producer")
+    assert cfg.receiver == ("c1__a", "c1__b")
+    assert cfg.persistent is True
+    assert cfg.update_mode is UpdateMode.REPLACE_SAME_FUNCTOR_ARITY
+    default = cfg_for("agent:percept", "producer")
+    assert (default.persistent, default.update_mode) == (False, UpdateMode.ACCUMULATE)
+    assert cfg_for("agent:percept?updateMode=accumulate", "producer").update_mode is UpdateMode.ACCUMULATE
+
+
+def test_persistent_header_follows_the_uri_boolean_rule():
+    container = AgentContainer("c1")
+    alice = container.add_agent("alice")
+    cfg = cfg_for("agent:percept", "producer")
+    for i, text in enumerate(("YES", "1", "True", "on")):
+        produce_percept(container, cfg, new_exchange(body=f"p({i})", headers={"persistent": text}))
+        assert parse_uri(f"x:y?b={text}").get_bool("b") is (text != "on")
+    assert [render_term(t) for t in alice.persistent_snapshot()] == ["p(0)", "p(1)", "p(2)"]
+    assert [render_term(e.literal) for e in alice.transient] == ["p(3)"]
+
+
+def test_update_mode_naming_no_mode_is_rejected_on_the_uri_and_in_a_header():
+    container = AgentContainer("c1")
+    alice = container.add_agent("alice")
+    engine = RouteEngine()
+    engine.add_component("agent", AgentComponent(container))
+    rb = RouteBuilder()
+    rb.from_("direct:bad", route_id="bad").to("agent:percept?updateMode=replace")
+    rb.from_("direct:ok", route_id="ok").to("agent:percept")
+    bad, ok = engine.add_routes(rb, start=False)  # no loop: each call runs here
+    with pytest.raises(EndpointConfigError, match="updateMode"):
+        bad.start()
+    ok.start()
+    engine.send("direct:ok", new_exchange(body="state(1)"))
+    with pytest.raises(EndpointConfigError, match="updateMode"):
+        engine.send("direct:ok", new_exchange(body="state(2)", headers={"updateMode": "replace"}))
+    assert [render_term(e.literal) for e in alice.transient] == ["state(1)"]
+    assert engine.log.events(event="error", route_id="ok") == []  # ``direct:`` raises to its caller
+
+
+def test_readme_lists_the_parameters_of_every_agent_endpoint():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Endpoint URIs", 1)[1].split("```")[1]
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("agent:"):
+            uri, _, role = line.partition(" ")
+            path, _, query = uri.partition("?")
+            kind = cfg_for(path, role.strip(" ()")).kind
+            assert kind not in listed, line
+            listed[kind] = {param.partition("=")[0] for param in query.split("&")}
+    assert listed == _ALLOWED_PARAMS
 
 
 # --- round trip and properties -----------------------------------------------------------

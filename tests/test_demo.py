@@ -16,8 +16,9 @@ from routebus.agents import (
     SendMessage,
     UpdateMode,
 )
-from routebus.routing import RouteService, RouteState
-from routebus.services import MailStore, TableStore
+from routebus.agent_endpoints import AgentComponent
+from routebus.routing import RouteBuilder, RouteEngine, RouteService, RouteState
+from routebus.services import CoordComponent, CoordService, MailStore, TableStore
 from routebus.demo.allocation import EmptyAgentListError, compute_allocation
 from routebus.demo.behaviors import relevance_behaviors
 from routebus.demo.config import (
@@ -29,7 +30,7 @@ from routebus.demo.config import (
     load_records,
 )
 from routebus.demo.runner import Scenario
-from routebus.demo import cli, runner
+from routebus.demo import cli, runner, routes as route_sets
 from routebus.terms import Compound, ListTerm, Str, parse_term, render_term
 
 from conftest import wait_for
@@ -458,6 +459,66 @@ def test_scenario_stop_leaves_no_threads():
     assert {t.name for t in set(threading.enumerate()) - before} == {"main-loop"}
     scenario.stop()
     assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
+def test_scenario_started_again_after_stop_forwards_each_mail_once():
+    before = set(threading.enumerate())
+    config = ScenarioConfig.default()
+    config.aggregate_timeout_ms = 500
+    scenario = Scenario(config)
+    scenario.start()
+    try:
+        assert wait_for(lambda: forwarded_to(scenario, "budget review"), timeout=6.0)
+        scenario.stop()
+        scenario.start()
+        scenario.inject_mail("y@corp", "travel notes", "see the plan")
+        assert wait_for(lambda: forwarded_to(scenario, "travel notes"), timeout=6.0)
+        time.sleep(0.6)  # past the reply timeout: a second forward would have come
+        assert forwarded_to(scenario, "travel notes") == ["to=[b@x]"]
+        assert forwarded_to(scenario, "budget review") == ["to=[a@x]"]
+        assert scenario.log.events(event="error") == []
+    finally:
+        scenario.stop()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
+def test_membership_names_nobody_for_a_node_gone_before_its_lookup():
+    # The loop is held while bob registers, bob's session expires and carol
+    # registers, so the watch queues three child lists; bob's node is gone
+    # when the first list is read, and the third list is as long as it.
+    coord = CoordService()
+    coord.create(None, "/agents")
+    container = AgentContainer("c")
+    alice = container.add_agent("alice")
+    engine = RouteEngine(log=container.log)
+    engine.add_component("agent", AgentComponent(container))
+    engine.add_component("coord", CoordComponent(coord))
+
+    def register(name):
+        session = coord.create_session()
+        coord.create(session, "/agents/agent", name, "EPHEMERAL_SEQUENTIAL")
+        return session
+
+    def membership():
+        return [render_term(t) for t in alice.persistent_snapshot()]
+
+    register("c__alice")
+    engine.add_routes(route_sets.membership_routes(RouteBuilder(), "c:", coord))
+    try:
+        assert wait_for(lambda: membership() == ['agents(["c__alice"])'], timeout=2.0)
+        held, release = threading.Event(), threading.Event()
+        engine.submit(lambda: (held.set(), release.wait(2.0)))
+        assert held.wait(2.0)
+        coord.expire_session(register("c__bob"))
+        register("c__carol")
+        release.set()
+        assert wait_for(lambda: membership() == ['agents(["c__alice","c__carol"])'], timeout=2.0)
+        engine.call(lambda: None, wait=True)  # a turn after the route's
+        assert membership() == ['agents(["c__alice","c__carol"])']
+        assert engine.log.events(event="error") == []
+        assert [len(a.buckets) for a in engine.controller("c:membership")._aggregates] == [0]
+    finally:
+        engine.stop()
 
 
 def test_two_container_scenario_runs_one_thread_per_container():

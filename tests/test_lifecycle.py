@@ -136,6 +136,32 @@ def test_consumer_honours_suspend_resume_stop(engine, kind):
     assert [t.name for t in threading.enumerate() if t not in threads_before] == []
 
 
+def test_stopped_agent_consumer_gives_up_its_binding_and_takes_one_again(engine):
+    # Stopped, the route no longer accepts messages to ``router``, so the
+    # container deadletters one; started again, it holds one binding.
+    container = AgentContainer("c1", log=engine.log)
+    engine.add_component("agent", AgentComponent(container))
+    rb = RouteBuilder()
+    rb.from_("agent:message?receiver=router", route_id="r")
+    (ctl,) = engine.add_routes(rb)
+
+    def send(msg_id):
+        container.route_local_message(AgentMessage("tell", "c1__a", "router", Atom("hi"), msg_id))
+
+    def receives():
+        return len(engine.log.events(event="receive", route_id="r"))
+
+    ctl.stop()
+    send("m1")
+    assert len(engine.log.events(event="deadletter")) == 1
+    ctl.start()
+    send("m2")
+    assert wait_for(lambda: receives() == 1, timeout=2.0)
+    engine.call(lambda: None, wait=True)  # a turn after the route's
+    assert receives() == 1
+    assert len(container._message_bindings) == 1
+
+
 # --- a failing poll leaves its route off the run queue ------------------------------
 
 

@@ -491,6 +491,20 @@ def test_timer_one_shot(engine):
     assert not engine._buffer("ticks").items
 
 
+@pytest.mark.parametrize("period", ["0", "-5"])
+def test_timer_period_must_be_positive(period):
+    # A period of 0 would fire again at the same instant, forever, and the
+    # loop runs due calls first.  No loop runs here: start is on this thread.
+    engine = RouteEngine()
+    engine.add_component("timer", TimerComponent())
+    rb = RouteBuilder()
+    rb.from_(f"timer:t?period={period}", route_id="t").to("buffered:ticks")
+    (route,) = engine.add_routes(rb, start=False)
+    with pytest.raises(ValueError, match="period"):
+        route.start()
+    assert engine._loop is None
+
+
 def test_timer_periodic(engine):
     engine.add_component("timer", TimerComponent())
     rb = RouteBuilder()
