@@ -25,10 +25,12 @@ offers (calls of ``AggregateState.offer``) per mail, then the function calls
 and the calls of the builtin ``isinstance`` per mail, then the event records
 per mail (the records the scenario's ``EventLog`` gained from the first input
 to the last outcome), then the mails the store holds in every account's inbox
-after the run, per mail (distinct stored objects, and inbox entries), and last
-the loop turns per mail: route turns are the calls of ``RouteService._step``
-and agent turns those of ``AgentContainer._turn``.  Every count but the event
-log's and the store's is read from the merged profile.
+after the run, per mail (distinct stored objects, and inbox entries), then
+the mail polls per mail (calls of ``MailStore.poll``; a poll takes at most
+``MAIL_POLL_LIMIT`` mails), and last the loop turns per mail: route turns are
+the calls of ``RouteService._step`` and agent turns those of
+``AgentContainer._turn``.  Every count but the event log's and the store's is
+read from the merged profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -168,6 +170,8 @@ def main(argv=None) -> int:
         f"stored mails per mail: {stored / mails:.3f} ({stored} distinct mails), "
         f"inbox entries per mail: {entries / mails:.3f} ({entries} entries)"
     )
+    polls = code_calls(stats, MailStore.poll)
+    print(f"mail polls per mail: {polls / mails:.3f} ({polls} MailStore.poll calls)")
     turns = turn_calls(stats)
     print(
         f"loop turns per mail: {turns['route'] / mails:.3f} route "

@@ -9,12 +9,11 @@ from __future__ import annotations
 import logging
 import time
 
-from ..expressions import body, body_to_term, constant, expr, header, stringify
+from ..expressions import body_to_term, constant, expr, header, stringify
 from ..routing import (
     AggregationStrategy,
     IdempotentRepository,
     InvalidTransitionError,
-    ListAppend,
     RouteBuilder,
     RouteEngine,
     RouteState,
@@ -57,32 +56,24 @@ def membership_routes(
     rb: RouteBuilder, prefix: str, coord: CoordService, coord_server: str = "srv"
 ) -> RouteBuilder:
     """Watch the membership node, map node names to agent names, and push the
-    aggregated list to all local agents as a replacing persistent percept.
-
-    The names of one child list are aggregated under that list's exchange id.
-    A node that is gone by the time its name is read names nobody."""
-
-    def node_to_name(x):
-        try:
-            x.in_msg.body = coord.get_data("/agents/" + stringify(x.in_msg.body))
-        except NoNodeError:
-            x.in_msg.body = None
+    list to all local agents as a replacing persistent percept, ``agents([])``
+    once the last member is gone.  A node that is gone by the time its name is
+    read names nobody."""
 
     def agents_percept(x):
-        names = tuple(name for name in x.in_msg.body if name is not None)
-        x.in_msg.body = Compound("agents", (body_to_term(names),))
+        names = []
+        for node in x.in_msg.body:
+            try:
+                names.append(coord.get_data("/agents/" + stringify(node)))
+            except NoNodeError:
+                pass
+        x.in_msg.body = Compound("agents", (body_to_term(tuple(names)),))
 
     return (
         rb.from_(
             f"coord://{coord_server}/agents?listChildren=true&repeat=true",
             route_id=f"{prefix}membership",
         )
-        .set_header("snapshot", expr("${id}"))
-        .set_header("numChildren", expr("${body.size}"))
-        .split(body())
-        .process(node_to_name)
-        .aggregate(header("snapshot"), ListAppend())
-        .completion_size(header("numChildren"))
         .process(agents_percept)
         .to("agent:percept?persistent=true&updateMode=-+")
     )

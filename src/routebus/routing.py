@@ -15,9 +15,9 @@ deadlines stay fair under load.  ``direct:`` producers run the target route's
 pipeline inline on the caller's context; ``buffered:`` producers enqueue a
 copy and return.  Each aggregate step makes its own bucket state when the
 route makes its steps.  A bucket completes on its size or its timeout,
-whichever comes first; a timed-out bucket is flushed on the loop.  Either way
-the merged exchange goes on as that route's own, which logs what fails
-(``_continue``).
+whichever comes first; a timed-out bucket is flushed on the loop, after a
+``warning`` event that gives its key and size.  Either way the merged
+exchange goes on as that route's own, which logs what fails (``_continue``).
 
 Only the loop touches route state, aggregate buckets and the deadline heap,
 so they have no lock; other threads get in through ``RouteEngine.submit``
@@ -359,6 +359,7 @@ class _AggregateSpec:
                 config,
                 lambda when: route.engine.call_at(when, lambda: route._flush_expired(state, i)),
                 route._log_failure,
+                route._log_timeout,
             )
             route._aggregates.append(state)
 
@@ -647,17 +648,21 @@ class AggregateState:
     leaves that flush nothing to do.  The key of a timed-out bucket is closed
     for one more timeout, so a late exchange under it is refused rather than
     opening a second bucket.  A merge that raises gives its first exchange and
-    error to ``fail``, if set.  Every offer and flush runs on the route's loop."""
+    error to ``fail``, if set; a timed-out bucket gives its key and exchanges
+    to ``timed_out``, if set, before its merge.  Every offer and flush runs on
+    the route's loop."""
 
     def __init__(
         self,
         step: Aggregate,
         schedule: Callable[[float], None] = lambda when: None,
         fail: Optional[Callable[[Exchange, Exception], None]] = None,
+        timed_out: Optional[Callable[[str, list[Exchange]], None]] = None,
     ):
         self.step = step
         self.schedule = schedule
         self.fail = fail
+        self.timed_out = timed_out
         self.buckets: OrderedDict[str, _Bucket] = OrderedDict()
         self.closed: OrderedDict[str, float] = OrderedDict()  # key -> when it reopens
         self.deadline: Optional[float] = None  # of the pending flush
@@ -699,6 +704,8 @@ class AggregateState:
                 break
             del self.buckets[key]
             self.closed[key] = now + timeout_s
+            if self.timed_out is not None:
+                self.timed_out(key, bucket.exchanges)
             if (x := self._merge(bucket.exchanges)) is not None:
                 merged.append(x)
         self._reopen(now)
@@ -868,6 +875,11 @@ class RouteService:
     def _log_failure(self, x: Exchange, exc: Exception) -> None:
         logger.debug("route %s: exchange %s failed", self.route_id, x.id, exc_info=exc)
         self.engine.log.emit(self.route_id, "error", x.id, detail=repr(exc))
+
+    def _log_timeout(self, key: str, held: list[Exchange]) -> None:
+        """One ``warning`` per timed-out bucket: a timeout is not a completion."""
+        detail = f"bucket {key} timed out holding {len(held)}"
+        self.engine.log.emit(self.route_id, "warning", held[0].id, detail)
 
     def _run(self, x: Exchange, i: int) -> None:
         """Run the route's steps on ``x`` from index ``i`` until ``x`` ends."""

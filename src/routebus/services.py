@@ -9,7 +9,8 @@
   and ephemeral-sequential nodes, sessions, and child watches.
 * ``mail:ACCOUNT?delete=&copyTo=`` (consumer) and ``mailto:ACCOUNT``
   (producer) -- mail store with per-account folders.  A delivered mail is
-  stored once, and each distinct recipient's inbox holds it once.
+  stored once, and each distinct recipient's inbox holds it once.  A poll
+  takes at most ``MAIL_POLL_LIMIT`` unread mails; the rest stay unread.
 * ``table:DATASOURCE`` -- table store answering ``SELECT col[, col] FROM t``.
 * ``timer:NAME?delay=&period=`` -- emits empty exchanges on a schedule.
 
@@ -411,6 +412,12 @@ class CoordComponent(Component):
 # --- mail store -----------------------------------------------------------------------
 
 
+# The unread mails one ``MailStore.poll``, and so one poll of a ``mail:``
+# consumer, takes at most; the rest stay unread in the store, so a burst flows
+# through the routes in rounds of this size.
+MAIL_POLL_LIMIT = 64
+
+
 @dataclass(frozen=True, slots=True)
 class MailMessage:
     """One stored mail.  A delivery stores it once and every recipient's inbox
@@ -459,18 +466,23 @@ class MailStore:
         with self._lock:
             self._listeners.setdefault(account, set()).add(ready)
 
-    def poll(self, account: str, delete: bool = False, copy_to: Optional[str] = None) -> list[MailMessage]:
+    def poll(
+        self, account: str, delete: bool = False, copy_to: Optional[str] = None, limit: int = MAIL_POLL_LIMIT
+    ) -> list[MailMessage]:
+        """The oldest unread mails, at most ``limit``; only they are deleted,
+        copied or marked read, and the rest stay unread."""
         with self._lock:
             folders = self._accounts.get(account)
             if folders is None:
                 raise UnknownAccountError(account)
             inbox = folders["inbox"]
             read = self._read.get(account, 0)
-            unread = inbox[read:]
+            end = read + limit
+            unread = inbox[read:end]
             if delete:
-                del inbox[read:]
+                del inbox[read:end]
             else:
-                self._read[account] = len(inbox)
+                self._read[account] = read + len(unread)
             if copy_to is not None:
                 folders.setdefault(copy_to, []).extend(unread)
             return unread

@@ -1,4 +1,5 @@
 import logging
+import math
 import threading
 import time
 from collections import Counter
@@ -461,6 +462,50 @@ def test_scenario_stop_leaves_no_threads():
     assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
+def test_a_burst_of_three_reply_timeouts_of_work_forwards_every_mail_once():
+    # The burst is sized from the drain time of a smaller one, measured
+    # first, so its work is three reply timeouts on any host.  A poll takes
+    # one round of the burst and the rest waits unread in the store, so a
+    # mail's reply timeout, which counts from its poll, covers its round only.
+    config = ScenarioConfig.default()
+    config.aggregate_timeout_ms = 300
+    scenario = Scenario(config)
+    scenario.mail.add_account("a@x")
+    scenario.start()
+    engine = scenario.engines["main"]
+
+    def forwarded():  # every "budget" mail goes to a@x only
+        return len(scenario.mail.folder("a@x", "inbox"))
+
+    def drain(tag, mails, timeout):
+        """Inject ``mails`` mails while the loop is held; the seconds from the
+        release until all are forwarded, or None."""
+        want = forwarded() + mails
+        held, release = threading.Event(), threading.Event()
+        engine.submit(lambda: (held.set(), release.wait(5.0)))
+        assert held.wait(2.0)
+        for k in range(mails):
+            scenario.inject_mail("x@corp", f"budget {tag}{k}", "draft")
+        t0 = time.monotonic()
+        release.set()
+        while forwarded() < want:
+            if time.monotonic() - t0 > timeout:
+                return None
+            time.sleep(0.001)
+        return time.monotonic() - t0
+
+    try:
+        assert wait_for(lambda: forwarded() == 1, timeout=6.0)  # the fixture mail
+        per_mail = drain("c", 500, timeout=5.0) / 500
+        burst = math.ceil(3 * config.aggregate_timeout_ms / 1000 / per_mail)
+        assert drain("b", burst, timeout=10 * burst * per_mail) is not None
+        subjects = Counter(d.rsplit(" subject=", 1)[1] for _, d in scenario.forward_events())
+        assert [n for s, n in subjects.items() if s.startswith("budget b")] == [1] * burst
+        assert scenario.log.events(event="error") == []
+    finally:
+        scenario.stop()
+
+
 def test_scenario_started_again_after_stop_forwards_each_mail_once():
     before = set(threading.enumerate())
     config = ScenarioConfig.default()
@@ -516,7 +561,31 @@ def test_membership_names_nobody_for_a_node_gone_before_its_lookup():
         engine.call(lambda: None, wait=True)  # a turn after the route's
         assert membership() == ['agents(["c__alice","c__carol"])']
         assert engine.log.events(event="error") == []
-        assert [len(a.buckets) for a in engine.controller("c:membership")._aggregates] == [0]
+        assert engine.controller("c:membership")._aggregates == []  # no bucket to leave open
+    finally:
+        engine.stop()
+
+
+def test_membership_reaches_the_agents_empty_once_the_last_member_leaves():
+    coord = CoordService()
+    coord.create(None, "/agents")
+    container = AgentContainer("c")
+    alice = container.add_agent("alice")
+    engine = RouteEngine(log=container.log)
+    engine.add_component("agent", AgentComponent(container))
+    engine.add_component("coord", CoordComponent(coord))
+    session = coord.create_session()
+    coord.create(session, "/agents/agent", "c__alice", "EPHEMERAL_SEQUENTIAL")
+
+    def membership():
+        return [render_term(t) for t in alice.persistent_snapshot()]
+
+    engine.add_routes(route_sets.membership_routes(RouteBuilder(), "c:", coord))
+    try:
+        assert wait_for(lambda: membership() == ['agents(["c__alice"])'], timeout=2.0)
+        coord.expire_session(session)
+        assert wait_for(lambda: membership() == ["agents([])"], timeout=2.0)
+        assert engine.log.events(event="error") == []
     finally:
         engine.stop()
 

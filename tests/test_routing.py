@@ -307,6 +307,28 @@ def test_aggregate_timeout_flush_in_route(engine):
     assert waited >= 0.04  # flushed at the bucket's deadline, not inline
 
 
+def test_each_timed_out_bucket_is_one_warning_with_its_key_and_size(engine):
+    rb = RouteBuilder()
+    (
+        rb.from_("direct:agg", route_id="agg")
+        .aggregate(header("id"), ListAppend())
+        .completion_timeout(100, size=3)
+        .to("buffered:out")
+    )
+    engine.add_routes(rb)
+    sent = [new_exchange(body=str(n), headers={"id": key}) for n, key in enumerate("aabccc")]
+    for x in sent:
+        engine.send("direct:agg", x)
+    outs = [take(engine._buffer("out"), 2) for _ in range(3)]
+    assert [x.in_msg.body for x in outs] == [("3", "4", "5"), ("0", "1"), ("2",)]
+    # A bucket completed by its size is no warning; each timed-out one is.
+    warnings = [(r.route_id, r.exchange_id, r.detail) for r in engine.log.events(event="warning")]
+    assert warnings == [
+        ("agg", sent[0].id, "bucket a timed out holding 2"),
+        ("agg", sent[2].id, "bucket b timed out holding 1"),
+    ]
+
+
 def test_timed_flush_continues_at_the_next_aggregate(engine):
     # The flushed bucket resumes at the step after its own aggregate, so a
     # second aggregate completes it instead of handing it back to the first.

@@ -39,7 +39,7 @@ def test_profile_workload_runs():
     assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout
     assert "was called by" in done.stdout
     assert "thread main-loop: " in done.stdout  # the engine loop's CPU line
-    *_, counts, calls, records, stored, turns = done.stdout.splitlines()
+    *_, counts, calls, records, stored, polls, turns = done.stdout.splitlines()
     assert counts.startswith("exchange copies per mail: 2.000 (6 Exchange.copy calls)")
     assert "aggregate offers per mail: " in counts
     assert calls.startswith("function calls per mail: ")
@@ -47,4 +47,5 @@ def test_profile_workload_runs():
     assert records == "event records per mail: 14.000 (42 records)"  # one per hop
     assert stored.startswith("stored mails per mail: ")
     assert "inbox entries per mail: " in stored
+    assert polls.startswith("mail polls per mail: ") and "MailStore.poll calls)" in polls
     assert "loop turns per mail: " in turns

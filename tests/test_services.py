@@ -4,7 +4,7 @@ import time
 import pytest
 
 from routebus.messages import ExchangePattern, new_exchange
-from routebus.routing import RouteBuilder, RouteEngine
+from routebus.routing import RouteBuilder, RouteEngine, RouteState
 from routebus.terms import Str, TermSyntaxError, parse_term
 from routebus.services import (
     BrokerComponent,
@@ -13,6 +13,7 @@ from routebus.services import (
     CoordService,
     MailComponent,
     MailStore,
+    MAIL_POLL_LIMIT,
     MailtoComponent,
     MissingRecipientsError,
     NodeExistsError,
@@ -27,7 +28,7 @@ from routebus.services import (
     UnsupportedSqlError,
 )
 
-from conftest import take
+from conftest import take, wait_for
 
 
 @pytest.fixture
@@ -333,6 +334,84 @@ def test_mail_conservation_on_deliver():
     store.deliver(["u1@x", "u2@x"], "from@x", "s", "b")
     after = sum(len(store.folder(a, "inbox")) for a in store.accounts())
     assert after - before == 2
+
+
+def mail_subjects(store, folder):
+    return [m.subject for m in store.folder("to.share", folder)]
+
+
+@pytest.mark.parametrize("delete, copy_to", [(True, "processed"), (True, None), (False, "processed"), (False, None)])
+def test_poll_with_a_limit_takes_only_the_oldest_unread_batch(delete, copy_to):
+    store = MailStore()
+    store.deliver(["to.share"], "a@x", "old", "b")
+    store.poll("to.share")  # read, but kept in the inbox
+    for k in range(5):
+        store.deliver(["to.share"], "a@x", f"m{k}", "b")
+    assert [m.subject for m in store.poll("to.share", delete, copy_to, limit=2)] == ["m0", "m1"]
+    assert mail_subjects(store, "inbox") == ["old"] + [f"m{k}" for k in range(2 if delete else 0, 5)]
+    assert mail_subjects(store, "processed") == (["m0", "m1"] if copy_to else [])
+    # Only the batch left the unread tail: the next poll goes on from it.
+    assert [m.subject for m in store.poll("to.share", delete, copy_to, limit=2)] == ["m2", "m3"]
+    assert [m.subject for m in store.poll("to.share", delete, copy_to)] == ["m4"]
+    assert store.poll("to.share", delete, copy_to, limit=2) == []
+    assert mail_subjects(store, "inbox") == ["old"] + ([] if delete else [f"m{k}" for k in range(5)])
+    assert mail_subjects(store, "processed") == ([f"m{k}" for k in range(5)] if copy_to else [])
+
+
+def mail_route_after_one_turn(engine, store, unread, then):
+    """A started ``mail:`` route over ``unread`` mails, and the subjects it
+    receives; ``then(route, received)`` runs in the loop turn right after the
+    route's first, as the route queues again behind it."""
+    store.add_account("to.share")
+    for k in range(unread):
+        store.deliver(["to.share"], "a@x", f"m{k}", "b")
+    engine.add_component("mail", MailComponent(store))
+    received = []
+    rb = RouteBuilder()
+    rb.from_("mail:to.share?delete=true&copyTo=processed", route_id="poll").process(
+        lambda x: received.append(x.in_msg.headers["subject"])
+    )
+    engine.start()
+    held, release = threading.Event(), threading.Event()
+    engine.submit(lambda: (held.set(), release.wait(2.0)))
+    assert held.wait(2.0)
+    (route,) = engine.add_routes(rb)  # its first turn queues behind the held one
+    engine.submit(lambda: then(route, received))
+    release.set()
+    return route, received
+
+
+def test_one_mail_route_turn_takes_one_poll_limit_and_leaves_the_rest_unread(engine):
+    store, after_first = MailStore(), []
+    subjects = [f"m{k}" for k in range(MAIL_POLL_LIMIT + 5)]
+    _route, received = mail_route_after_one_turn(
+        engine,
+        store,
+        len(subjects),
+        lambda route, received: after_first.append((list(received), mail_subjects(store, "inbox"))),
+    )
+    assert wait_for(lambda: len(received) == len(subjects), timeout=2.0)
+    assert after_first == [(subjects[:MAIL_POLL_LIMIT], subjects[MAIL_POLL_LIMIT:])]
+    assert received == subjects  # the next turn took the rest, in order
+    assert mail_subjects(store, "inbox") == []
+    assert mail_subjects(store, "processed") == subjects
+
+
+def test_mail_route_stopped_between_turns_leaves_the_mails_it_did_not_poll_unread(engine):
+    store = MailStore()
+    subjects = [f"m{k}" for k in range(MAIL_POLL_LIMIT + 7)]
+    route, received = mail_route_after_one_turn(
+        engine, store, len(subjects), lambda route, received: route.stop()
+    )
+    assert wait_for(lambda: route.state is RouteState.STOPPED, timeout=2.0)
+    engine.call(lambda: None, wait=True)  # the route's queued turn has seen the stop
+    assert received == subjects[:MAIL_POLL_LIMIT]
+    assert mail_subjects(store, "inbox") == subjects[MAIL_POLL_LIMIT:]
+    assert mail_subjects(store, "processed") == subjects[:MAIL_POLL_LIMIT]
+    route.start()  # the unread mails are the next start's
+    assert wait_for(lambda: len(received) == len(subjects), timeout=2.0)
+    assert received == subjects
+    assert mail_subjects(store, "inbox") == []
 
 
 def test_mail_consumer_and_producer_endpoints(engine):
