@@ -22,8 +22,10 @@ the callers of the three functions with the most self time are listed, then
 one line per thread with its name and its profiled CPU seconds, then the
 summary: the exchange copies (calls of ``Exchange.copy``) and aggregate
 offers (calls of ``AggregateState.offer``) per mail, then the function calls
-and the calls of the builtin ``isinstance`` per mail, then the event records
-per mail (the records the scenario's ``EventLog`` gained from the first input
+and the calls of the builtin ``isinstance`` per mail, then the calls of
+``terms.quote`` per mail (made by the sort key of a reply union whose texts
+quoting could reorder, and by rendering text; the bench tracer cannot see
+them), then the event records per mail (the records the scenario's ``EventLog`` gained from the first input
 to the last outcome), then the mails the store holds in every account's inbox
 after the run, per mail (distinct stored objects, and inbox entries), then
 the mail polls per mail (calls of ``MailStore.poll``; a poll takes at most
@@ -50,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
+from routebus import terms  # noqa: E402
 from routebus.demo.runner import Scenario  # noqa: E402
 from routebus.messages import Exchange  # noqa: E402
 from routebus.routing import AggregateState  # noqa: E402
@@ -164,6 +167,8 @@ def main(argv=None) -> int:
         f"function calls per mail: {calls / mails:.1f} ({calls} calls), "
         f"isinstance calls per mail: {isinstances / mails:.1f} ({isinstances} isinstance calls)"
     )
+    quotes = code_calls(stats, terms.quote)
+    print(f"sort-key quotes per mail: {quotes / mails:.1f} ({quotes} terms.quote calls)")
     print(f"event records per mail: {records / mails:.3f} ({records} records)")
     stored, entries = inbox_counts(scenario.mail)
     print(

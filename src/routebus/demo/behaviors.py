@@ -8,7 +8,9 @@ allocated users' interest keywords against the mail and reply with
 ``relevant(Id, [emails...])`` -- an empty list when nothing matches, so the
 collecting route never has to rely on its timeout alone.  The keywords come
 from a view the agent builds once per change of its membership or account
-list, so a request costs a scan of the distinct keywords, not of the table.
+list, so a request costs a lookup of each window of the mail text, one per
+distinct keyword length, or, on a text longer than the view's cutoff, a scan
+of the distinct keywords; never a read of the table.
 Every hook writes the agent's memory itself, and the container runs a rule's
 effects before the next rule fires, so a request later in the same cycle is
 answered from the membership and accounts that earlier events stored.
@@ -45,6 +47,10 @@ from .allocation import compute_allocation
 
 logger = logging.getLogger(__name__)
 
+# A lookup of one window of the mail text in the view's dict costs about 7/3
+# of an ``in`` test of one keyword against the text (140 against 60 ns).
+WINDOW_COST, KEYWORD_COST = 7, 3
+
 
 def _fetch_accounts() -> PerformAction:
     def store_accounts(agent: AgentState, result) -> None:
@@ -60,9 +66,13 @@ def _fetch_accounts() -> PerformAction:
     )
 
 
-def _relevance_view(agent: AgentState, tables: TableStore) -> tuple[dict[str, list[str]], dict[str, Str]]:
+def _relevance_view(
+    agent: AgentState, tables: TableStore
+) -> tuple[dict[str, tuple[Str, ...]], tuple[int, ...], float]:
     """Each interest keyword of this agent's allocated users, mapped to their
-    emails, and each allocated email's term for the reply.
+    emails' terms in reply order; the distinct keyword lengths; and the
+    longest mail text whose windows of those lengths cost no more to look up
+    than a scan of every keyword.
 
     Built on the first call after ``memory["agents"]`` or ``memory["accounts"]``
     changes.  Both lists are replaced, never edited, so an identity check finds
@@ -73,17 +83,24 @@ def _relevance_view(agent: AgentState, tables: TableStore) -> tuple[dict[str, li
     built = agent.memory.get("relevance_view")
     if built is not None and built[0] is agents and built[1] is accounts:
         return built[2]
-    view: dict[str, list[str]] = {}
-    terms: dict[str, Str] = {}
+    terms: dict[str, list[Str]] = {}
     if agents and agent.full_name in agents:
         interests = {row["email"]: row.get("interests", "") for row in tables.rows("users")}
+        # The allocation lists each agent's emails sorted, which is reply order.
         for email in compute_allocation(agents, accounts or [])[agent.full_name]:
-            terms[email] = Str(email)
+            term = Str(email)
             keywords = {k.strip().lower() for k in interests.get(email, "").split(",")}
             for keyword in keywords - {""}:
-                view.setdefault(keyword, []).append(email)
-    agent.memory["relevance_view"] = (agents, accounts, (view, terms))
-    return view, terms
+                terms.setdefault(keyword, []).append(term)
+    view = {keyword: tuple(emails) for keyword, emails in terms.items()}
+    lengths = tuple({len(keyword) for keyword in view})
+    # A text of n characters has at most len(lengths) * (n + 1) - sum(lengths)
+    # windows; up to the cutoff they cost no more than the keyword scan.
+    cutoff = (
+        (len(view) * KEYWORD_COST / WINDOW_COST + sum(lengths)) / len(lengths) - 1 if view else 0
+    )
+    agent.memory["relevance_view"] = (agents, accounts, (view, lengths, cutoff))
+    return view, lengths, cutoff
 
 
 def allocation_view(agent: AgentState):
@@ -130,14 +147,23 @@ def relevance_behaviors(tables: TableStore) -> list[BehaviorRule]:
         haystack = " ".join(
             t.text if isinstance(t, Str) else render_term(t) for t in (subject, body)
         ).lower()
-        view, terms = _relevance_view(agent, tables)
-        matched = set()
-        for keyword, emails in view.items():
-            if keyword in haystack:
-                matched.update(emails)
-        reply = Compound(
-            "relevant", (id_term, ListTerm(tuple(terms[e] for e in sorted(matched))))
-        )
+        view, lengths, cutoff = _relevance_view(agent, tables)
+        if len(haystack) <= cutoff:
+            matched = {
+                window
+                for length in lengths
+                for i in range(len(haystack) - length + 1)
+                if (window := haystack[i : i + length]) in view
+            }
+        else:
+            matched = [keyword for keyword in view if keyword in haystack]
+        if len(matched) == 1:
+            (keyword,) = matched
+            emails = view[keyword]
+        else:
+            union = {term.text: term for keyword in matched for term in view[keyword]}
+            emails = tuple(union[email] for email in sorted(union))
+        reply = Compound("relevant", (id_term, ListTerm(emails)))
         return [SendMessage("tell", "router", reply)]
 
     return [

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import time
+from operator import attrgetter
 
 from ..expressions import body_to_term, constant, expr, header, stringify
 from ..routing import (
@@ -119,7 +120,7 @@ def mail_routes(
         # relevant(Id, [Email, ...]): the id correlates, the emails are the body.
         reply_id, emails = x.in_msg.body.args
         x.in_msg.headers["id"] = reply_id.text
-        x.in_msg.body = tuple(email.text for email in emails.elements)
+        x.in_msg.body = tuple(map(attrgetter("text"), emails.elements))
 
     (
         rb.from_(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import re
 import threading
 import time
 from collections import OrderedDict, deque
@@ -163,12 +164,18 @@ class SetUnion(AggregationStrategy):
         )
 
 
+# A character that sorts at or below the closing quote, or is escaped.
+_REORDERED_BY_QUOTING = re.compile(r'[\x00-"\\]')
+
+
 def set_union(bodies: Iterable) -> tuple:
     """The set union of the elements of sequence bodies; a text body is parsed
     as a term list.
 
     The union is ordered by each element's rendered term text, so any
-    permutation of the same bodies produces an identical union.
+    permutation of the same bodies produces an identical union.  When every
+    element is text and none holds a character up to ``"`` or a ``\\``,
+    quoting cannot reorder them, so they are sorted by themselves.
     """
     elements: set = set()
     for b in bodies:
@@ -180,7 +187,11 @@ def set_union(bodies: Iterable) -> tuple:
         elif not isinstance(b, (list, tuple)):
             raise TypeMismatchError(f"set-union body is not a list: {b!r}")
         elements.update(b)
-    return tuple(sorted(elements, key=_term_text))
+    try:
+        plain = _REORDERED_BY_QUOTING.search("".join(elements)) is None
+    except TypeError:  # an element that is not text
+        plain = False
+    return tuple(sorted(elements) if plain else sorted(elements, key=_term_text))
 
 
 def _term_text(value) -> str:

@@ -450,16 +450,17 @@ class MailStore:
         """Stores the mail once, in each distinct recipient's inbox once, making
         missing accounts; returns its id once per distinct recipient.  Each
         recipient's listeners are called after the mail lands."""
-        recipients = tuple(dict.fromkeys(to))
+        recipients = dict.fromkeys(to)
         with self._lock:
-            mail = MailMessage(str(next(self._seq)), from_addr, subject, recipients, body)
+            mail = MailMessage(str(next(self._seq)), from_addr, subject, tuple(recipients), body)
             for recipient in recipients:
-                if recipient not in self._accounts:
-                    self._accounts[recipient] = {"inbox": []}
-                self._accounts[recipient]["inbox"].append(mail)
-                if recipient in self._listeners:
-                    for ready in self._listeners[recipient]:
-                        ready()
+                folders = self._accounts.get(recipient)
+                if folders is None:
+                    folders = self._accounts[recipient] = {"inbox": []}
+                folders["inbox"].append(mail)
+            for account in self._listeners.keys() & recipients.keys():
+                for ready in self._listeners[account]:
+                    ready()
         return [mail.id] * len(recipients)
 
     def listen(self, account: str, ready: Callable[[], None]) -> None:

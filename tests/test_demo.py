@@ -741,6 +741,100 @@ def test_relevance_view_replies_as_the_per_mail_scan(
             assert ask(agent, subject, body) == relevant("m1", expected)
 
 
+def view_of(agent):
+    """The agent's relevance view as last built: keyword -> reply terms, the
+    keyword lengths, and the longest text that takes the window lookup."""
+    return agent.memory["relevance_view"][2]
+
+
+# Few letters, so keywords often hold one another and overlap in mails; "İ"
+# lowers to two characters, "i" and a combining dot.
+WINDOW_ALPHABET = 'aAbi İ"\\.!'
+
+
+def window_mails(min_size, max_size):
+    text = st.text(alphabet=WINDOW_ALPHABET, min_size=min_size, max_size=max_size)
+    return st.lists(st.tuples(text, text), min_size=1, max_size=4)
+
+
+@given(
+    interests=st.lists(
+        st.lists(st.text(alphabet=WINDOW_ALPHABET, max_size=5), max_size=3).map(",".join),
+        min_size=1,
+        max_size=6,
+    ),
+    # A wide view with short mails, which take the windows; a small view
+    # with long mails, which take the scan.
+    case=st.one_of(
+        st.tuples(st.just(True), window_mails(0, 6)),
+        st.tuples(st.just(False), window_mails(12, 24)),
+    ),
+)
+@example(
+    interests=["aba,bab", "ab", "i", "İ,b!", '"a\\'],
+    case=(True, [("ababa", "İ"), ('b!"a\\', "")]),
+)
+def test_relevance_windows_reply_as_the_keyword_scan(interests, case):
+    wide, mails = case
+    users = [{"email": f"u{i}@x", "interests": text} for i, text in enumerate(interests)]
+    if wide:
+        # Keywords no mail holds, each of one user.
+        users += [{"email": f"p{i:03d}@x", "interests": f"#{i:03d}"} for i in range(600)]
+    container = relevance_agents(users, ["a"])
+    (agent,) = container.agents.values()
+    accounts = sorted(u["email"] for u in users)
+    agent.memory["agents"] = ["c__a"]
+    agent.memory["accounts"] = accounts
+    for subject, body in mails:
+        expected = reference_relevant(users, ["c__a"], accounts, "c__a", subject, body)
+        assert ask(agent, subject, body) == relevant("m1", expected)
+        _view, _lengths, cutoff = view_of(agent)
+        assert (len(f"{subject} {body}".lower()) <= cutoff) == wide
+
+
+def test_relevance_view_rebuilds_lengths_cutoff_and_replies_with_a_change():
+    # Users of six-letter keywords no mail holds: a wide view, so the short
+    # mails below take the window lookup.
+    users = [{"email": f"p{i:03d}@x", "interests": f"pad{i:03d}"} for i in range(400)]
+    users += [
+        {"email": "u0@x", "interests": "shared,vanishing"},
+        {"email": "u1@x", "interests": "xy,shared"},
+        {"email": "u2@x", "interests": "rare"},
+        {"email": "u3@x", "interests": "shared"},
+    ]
+    container = relevance_agents(users, ["a", "b"])
+    a = container.agents["c__a"]
+    a.started = True  # skip the start-up actions: no routes serve them here
+    a.memory["accounts"] = sorted(u["email"] for u in users if u["email"] != "u2@x")
+    a.memory["agents"] = ["c__a", "c__b"]
+    # Given every other account, c__a holds u0@x and u3@x, not u1@x.
+    assert ask(a, "shared", "") == relevant("m1", ["u0@x", "u3@x"])
+    assert ask(a, "xy", "") == relevant("m1", [])
+    view, lengths, cutoff = view_of(a)
+    assert sorted(lengths) == [6, 9] and len("xy ") <= cutoff
+    # The membership shrinks to c__a: u1@x comes in, with "xy", a keyword of
+    # a length the view did not hold.
+    container.deliver_percept(
+        "c__a", parse_term('agents(["c__a"])'), Persistence.PERSISTENT, UpdateMode.REPLACE_SAME_FUNCTOR_ARITY
+    )
+    container.run_cycle(a)
+    assert ask(a, "xy", "") == relevant("m1", ["u1@x"])
+    assert ask(a, "shared", "") == relevant("m1", ["u0@x", "u1@x", "u3@x"])
+    # A new account brings a keyword of another new length.
+    assert ask(a, "rare", "") == relevant("m1", [])
+    container.deliver_percept("c__a", parse_term('account_added("u2@x")'))
+    container.run_cycle(a)
+    assert ask(a, "rare", "") == relevant("m1", ["u2@x"])
+    # A removed account's keywords name it no more.
+    container.deliver_percept("c__a", parse_term('account_removed("u0@x")'))
+    container.run_cycle(a)
+    assert ask(a, "vanishing", "") == relevant("m1", [])
+    assert ask(a, "shared", "") == relevant("m1", ["u1@x", "u3@x"])
+    view, lengths, cutoff = view_of(a)
+    assert sorted(lengths) == [2, 4, 6] and "vanishing" not in view
+    assert len("vanishing ") <= cutoff
+
+
 def test_relevance_view_follows_a_new_membership_percept():
     users = [{"email": f"u{i}@x", "interests": "budget"} for i in range(4)]
     container = relevance_agents(users, ["a", "b"])

@@ -1,10 +1,12 @@
+import itertools
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from routebus.expressions import body, constant, expr, header, stringify
+from routebus.expressions import body, body_to_term, constant, expr, header, stringify
 from routebus.messages import ExchangePattern, RowSet, new_exchange
 from routebus.routing import (
     Aggregate,
@@ -22,10 +24,12 @@ from routebus.routing import (
     SetUnion,
     UnknownSchemeError,
     AggregateState,
+    set_union,
     split_exchange,
     transform_rows_to_quoted_list,
 )
 from routebus.expressions import TypeMismatchError
+from routebus.terms import Atom, quote, render_term
 
 from conftest import take
 
@@ -287,6 +291,35 @@ def test_set_union_orders_by_rendered_text_over_text_and_list_bodies():
         assert stringify(merged.in_msg.body) == (
             '["a#x","a@x","a\\"x","b@x","back\\\\slash@x","q\\"uote@x","z@x"]'
         )
+
+
+# Characters below, at and above the closing quote, and the escaped backslash.
+union_texts = st.text(alphabet='\x00\t !"#\\aé', max_size=4)
+
+
+@given(bodies=st.lists(st.lists(union_texts, max_size=4), min_size=1, max_size=4))
+# One character each that would reorder the texts if they were sorted by themselves.
+@example(bodies=[['a"', "a#"]])
+@example(bodies=[["a", "a\t"]])
+@example(bodies=[["", "!"], ["é"]])
+def test_set_union_sorts_texts_in_their_rendered_order(bodies):
+    expected = tuple(sorted({t for b in bodies for t in b}, key=quote))
+    for order in itertools.permutations(bodies):
+        assert set_union(order) == expected
+
+
+@given(
+    bodies=st.lists(
+        st.lists(st.one_of(union_texts, st.integers(-5, 5), st.sampled_from([Atom("a"), Atom("b")]))),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_set_union_sorts_mixed_bodies_by_rendered_text(bodies):
+    elements = {el for b in bodies for el in b}
+    expected = tuple(sorted(elements, key=lambda el: render_term(body_to_term(el))))
+    for order in itertools.permutations(bodies):
+        assert set_union(order) == expected
 
 
 def test_aggregate_timeout_flush_in_route(engine):
