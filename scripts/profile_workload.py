@@ -26,13 +26,15 @@ and the calls of the builtin ``isinstance`` per mail, then the calls of
 ``terms.quote`` per mail (made by the sort key of a reply union whose texts
 quoting could reorder, and by rendering text; the bench tracer cannot see
 them), then the event records per mail (the records the scenario's ``EventLog`` gained from the first input
-to the last outcome), then the mails the store holds in every account's inbox
+to the last outcome), then the objects the garbage collector tracks, gained
+per mail over the same span (``len(gc.get_objects())`` after
+``gc.collect()``), then the mails the store holds in every account's inbox
 after the run, per mail (distinct stored objects, and inbox entries), then
 the mail polls per mail (calls of ``MailStore.poll``; a poll takes at most
 ``MAIL_POLL_LIMIT`` mails), and last the loop turns per mail: route turns are
 the calls of ``RouteService._step`` and agent turns those of
-``AgentContainer._turn``.  Every count but the event log's and the store's is
-read from the merged profile.
+``AgentContainer._turn``.  Every count but the event log's, the collector's
+and the store's is read from the merged profile.
 Python 3.12 moved ``cProfile`` onto the process-wide ``sys.monitoring``, where
 one profiler per thread cannot be enabled, so the script needs 3.11 or older.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import math
 import pstats
 import sys
@@ -138,11 +141,15 @@ def main(argv=None) -> int:
         generator = Generator(scenario)
         generator.start()
         log_from = len(scenario.log.records())
+        gc.collect()
+        tracked_from = len(gc.get_objects())
         cpu0, t0 = time.process_time(), time.monotonic()
         generator.submit(events, t0, time.time())
         done = outcomes.wait_for(before + mails, t0 + events[-1].due + OUTCOME_TIMEOUT_S)
         cpu_ms = 1000.0 * (time.process_time() - cpu0)
         records = len(scenario.log.records()) - log_from
+        gc.collect()
+        tracked = len(gc.get_objects()) - tracked_from
         generator.close()
     finally:
         scenario.stop()
@@ -170,6 +177,7 @@ def main(argv=None) -> int:
     quotes = code_calls(stats, terms.quote)
     print(f"sort-key quotes per mail: {quotes / mails:.1f} ({quotes} terms.quote calls)")
     print(f"event records per mail: {records / mails:.3f} ({records} records)")
+    print(f"gc-tracked objects per mail: {tracked / mails:.2f} ({tracked} objects)")
     stored, entries = inbox_counts(scenario.mail)
     print(
         f"stored mails per mail: {stored / mails:.3f} ({stored} distinct mails), "

@@ -29,6 +29,7 @@ there).  An idle loop sleeps on the ``Event`` ``RouteEngine._wake``, and a
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -36,6 +37,7 @@ import re
 import threading
 import time
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
@@ -406,37 +408,75 @@ class EventRecord(NamedTuple):
 
 class EventLog:
     """Append-only structured log: one record per endpoint receive/send,
-    processor error, drop, or lifecycle change.  No lock: the log only grows, and
-    ``list.append`` and ``list(list)`` are each one C call under the GIL."""
+    processor error, drop, or lifecycle change.  A record is five cells,
+    ``ts route_id event exchange_id detail``, on one flat list: no object per
+    record for the collector to walk, and no lock, as the log only grows and
+    ``list += tuple`` is one C call under the GIL."""
 
     def __init__(self):
-        self._records: list[EventRecord] = []
+        self._cells: list = []
         self._created = time.time()
 
     def emit(self, route_id: str, event: str, exchange_id: str = "-", detail: str = "") -> None:
-        rec = (time.time(), route_id, event, exchange_id, detail)
-        self._records.append(tuple.__new__(EventRecord, rec))  # skips the generated __new__
+        self._cells += (time.time(), route_id, event, exchange_id, detail)
 
     @property
     def last_activity(self) -> float:
         """The wall-clock stamp of the last record, or the log's creation time."""
-        return self._records[-1].ts if self._records else self._created
+        cells = self._cells
+        return cells[-5] if cells else self._created
 
-    def records(self) -> list[EventRecord]:
-        return list(self._records)
+    def records(self) -> Sequence[EventRecord]:
+        """A read-only snapshot of the records there are now (``_Snapshot``)."""
+        return _Snapshot(self._cells, len(self._cells) // 5)
 
     def events(self, event: Optional[str] = None, route_id: Optional[str] = None) -> list[EventRecord]:
         # Bounded by the length read first: a snapshot, as ``records()`` is.
+        cells = self._cells
         return [
-            r
-            for r in itertools.islice(self._records, len(self._records))
-            if (event is None or r.event == event) and (route_id is None or r.route_id == route_id)
+            _make_record(cells[i : i + 5])
+            for i in range(0, len(cells), 5)
+            if (event is None or cells[i + 2] == event) and (route_id is None or cells[i + 1] == route_id)
         ]
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.records():
                 fh.write(rec.line() + "\n")
+
+
+# Makes a record from its five cells in C, skipping the generated ``__new__``.
+_make_record = functools.partial(tuple.__new__, EventRecord)
+
+
+class _Snapshot(Sequence):
+    """A log's first ``n`` records, over its live cells: it copies nothing and
+    makes each ``EventRecord`` as it is read, so a slice from the length a
+    reader saw last makes only the new ones.  A slice is a list of records."""
+
+    __slots__ = ("_cells", "_n")
+
+    def __init__(self, cells: list, n: int):
+        self._cells, self._n = cells, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        rows = range(self._n)[index]  # IndexError past either end
+        if isinstance(rows, int):
+            return _make_record(self._cells[5 * rows : 5 * rows + 5])
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        cells = iter(self._cells[5 * rows.start : 5 * rows.stop])
+        return list(map(_make_record, zip(cells, cells, cells, cells, cells)))
+
+    def __iter__(self):
+        cells = itertools.islice(self._cells, 5 * self._n)
+        return map(_make_record, zip(cells, cells, cells, cells, cells))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Snapshot) else other)
 
 
 # --- endpoint SPI ------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -694,3 +696,54 @@ def test_concurrent_emits_lose_no_record_and_every_read_is_a_prefix():
     for records, events in snapshots:
         assert records == final[: len(records)]
         assert events == w0[: len(events)]
+
+
+def test_a_snapshot_keeps_its_length_and_a_slice_from_it_gives_the_newer_records():
+    log = EventLog()
+    for i in range(3):
+        log.emit("r", "send", f"x{i}")
+    older = log.records()
+    log.emit("r", "drop", "x3", detail="late")
+    log.emit("s", "lifecycle")
+    newer = log.records()
+    assert len(older) == 3 and len(newer) == 5  # fixed when taken
+    assert [r.exchange_id for r in older] == ["x0", "x1", "x2"]
+    fresh = newer[len(older) :]
+    assert all(type(r) is EventRecord for r in fresh)
+    assert [r[1:] for r in fresh] == [("r", "drop", "x3", "late"), ("s", "lifecycle", "-", "")]
+    assert older == newer[:3] and older != newer and newer == list(newer)
+    assert older[-1] == newer[2] and older[-3] == newer[0]
+    assert [r.exchange_id for r in newer[::2]] == ["x0", "x2", "-"]
+    assert [r.exchange_id for r in newer[-2::-2]] == ["x3", "x1"]
+    assert older[3:] == [] and newer[4:1] == []
+    with pytest.raises(IndexError):
+        older[3]  # recorded, but after the snapshot
+    with pytest.raises(IndexError):
+        newer[-6]
+
+
+def test_records_are_not_objects_the_collector_tracks():
+    log = EventLog()
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(10_000):
+        log.emit("r", "send", "x1", detail="direct:out")
+    assert len(gc.get_objects()) - before <= 10
+
+
+def test_the_log_keeps_at_most_72_bytes_per_record_and_a_snapshot_copies_none():
+    # The stamp's float and five list cells, with the list's spare room;
+    # the strings are the caller's.
+    log, records = EventLog(), 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(records):
+            log.emit("r", "send", "x1", detail="direct:out")
+        kept = tracemalloc.get_traced_memory()[0] - before
+        snapshot = log.records()
+        copied = tracemalloc.get_traced_memory()[0] - before - kept
+    finally:
+        tracemalloc.stop()
+    assert kept <= 72 * records
+    assert len(snapshot) == records and copied < 1_000

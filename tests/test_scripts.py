@@ -1,6 +1,7 @@
 """The example scripts that the README advertises run to completion."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,13 +40,14 @@ def test_profile_workload_runs():
     assert "3 mails" in done.stdout and "CPU ms per mail" in done.stdout
     assert "was called by" in done.stdout
     assert "thread main-loop: " in done.stdout  # the engine loop's CPU line
-    *_, counts, calls, quotes, records, stored, polls, turns = done.stdout.splitlines()
+    *_, counts, calls, quotes, records, tracked, stored, polls, turns = done.stdout.splitlines()
     assert counts.startswith("exchange copies per mail: 2.000 (6 Exchange.copy calls)")
     assert "aggregate offers per mail: " in counts
     assert calls.startswith("function calls per mail: ")
     assert "isinstance calls per mail: " in calls
     assert quotes.startswith("sort-key quotes per mail: ") and "terms.quote calls)" in quotes
     assert records == "event records per mail: 14.000 (42 records)"  # one per hop
+    assert re.fullmatch(r"gc-tracked objects per mail: -?\d+\.\d\d \(-?\d+ objects\)", tracked)
     assert stored.startswith("stored mails per mail: ")
     assert "inbox entries per mail: " in stored
     assert polls.startswith("mail polls per mail: ") and "MailStore.poll calls)" in polls
